@@ -163,9 +163,13 @@ def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
         raise FormatError("missing header line", offset=offset)
     try:
         header = json.loads(blob[offset:newline].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"expected a JSON object, got {type(header).__name__}")
         count, dim = int(header["num_sequences"]), int(header["dim"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=offset) from None
+    if count < 0 or dim < 0:
+        raise FormatError(f"negative header field: num_sequences={count}, dim={dim}", offset=offset)
     offset = newline + 1
 
     seqs: list[tuple[np.ndarray, int]] = []

@@ -21,7 +21,7 @@ from . import __version__
 from .backbone import load_precomputed, split_text, tokenize
 from .data import LabeledCorpus, make_synthetic, parse_tsv
 from .errors import ConfigError, DataError, FormatError, NumericError, SeqattnError
-from .model import Batch, load_checkpoint, save_checkpoint
+from .model import Batch, encode_embeddings, load_checkpoint, save_checkpoint
 from .sam import Order, SamConfig
 from .svg import line_chart, token_heatmap
 from .tensor import no_grad
@@ -314,13 +314,11 @@ def cmd_heatmap(args, parser) -> int:
     if bool(args.text) == bool(args.data):
         parser.error("exactly one of --text or --data is required")
     model = load_checkpoint(args.checkpoint)
-    digests = {args.checkpoint: _sha256(args.checkpoint)}
 
     if model.vocab is not None:
         if args.text:
             text = args.text
         else:
-            digests[args.data] = _sha256(args.data)
             corpus = parse_tsv(args.data)
             if not 0 <= args.index < len(corpus):
                 raise DataError(f"--index {args.index} outside corpus of {len(corpus)} records")
@@ -331,7 +329,6 @@ def cmd_heatmap(args, parser) -> int:
     else:
         if not args.data:
             parser.error("this checkpoint consumes precomputed embeddings; pass --data SAMEMB1_FILE")
-        digests[args.data] = _sha256(args.data)
         seqs = load_precomputed(args.data)
         if not 0 <= args.index < len(seqs):
             raise DataError(f"--index {args.index} outside embedding file of {len(seqs)} records")
@@ -340,13 +337,8 @@ def cmd_heatmap(args, parser) -> int:
             raise FormatError(
                 f"embedding width {vectors.shape[1]} does not match the checkpoint's {model.cfg.d_model}"
             )
-        length = min(max(len(vectors), 1), model.cfg.max_len)
-        tokens = [f"t{i}" for i in range(length)]
-        embs = np.zeros((1, model.cfg.max_len, model.cfg.d_model))
-        embs[0, : len(vectors[: model.cfg.max_len])] = vectors[: model.cfg.max_len]
-        mask_row = np.zeros((1, model.cfg.max_len))
-        mask_row[0, :length] = 1.0
-        batch = Batch(mask=mask_row, labels=np.zeros(1, dtype=np.int64), embs=embs)
+        batch = encode_embeddings([(vectors, 0)], model.cfg.max_len)
+        tokens = [f"t{i}" for i in range(int(batch.mask[0].sum()))]
 
     with no_grad():
         _, trace = model.forward(batch)

@@ -1,16 +1,10 @@
-"""Hot numeric kernels, in two interchangeable implementations.
+"""Hot numeric kernels of the forward and backward passes.
 
-Every kernel here is the inner loop of a forward or backward pass over a
-padded batch: mask-aware pooling reductions, the masked row softmax, and
-the embedding gather/scatter. Each exists twice, as a vectorized numpy
-expression and as an explicit-loop ``@njit`` function. The active set is
-chosen at import time from the ``SEQATTN_BACKEND`` environment variable
-("numpy" or "numba") and can be swapped at runtime with
-:func:`set_backend`.
-
-The numpy path is the default: the jit path pays a one-time compile cost
-per machine (cached on disk afterwards), which matters for short runs.
-``benchmarks/bench_kernels.py`` compares the two.
+Every kernel here is the inner loop of a pass over a padded batch:
+mask-aware pooling reductions, the masked row softmax, and the embedding
+gather/scatter, each written as a vectorized numpy expression. Callers
+reach them as ``kernels.<name>`` so that a kernel can be wrapped by
+attribute (for per-kernel timing) without touching its callers.
 
 All kernels operate on plain float64 arrays; masks are float64 arrays of
 exact 0.0/1.0 flags with shape (B, L). Mask validity (at least one valid
@@ -19,26 +13,10 @@ position per row) is enforced by the caller.
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-from .errors import ConfigError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without the jit extra
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_token_maxpool_fwd(x, mask):
+def token_maxpool_fwd(x, mask):
     # max over valid tokens; argmax recorded for the backward scatter
     neg = np.where(mask[:, :, None] != 0.0, x, -np.inf)
     arg = neg.argmax(axis=1)
@@ -46,307 +24,63 @@ def _np_token_maxpool_fwd(x, mask):
     return out, arg
 
 
-def _np_token_maxpool_bwd(g, arg, seq_len):
+def token_maxpool_bwd(g, arg, seq_len):
     B, D = g.shape
     gx = np.zeros((B, seq_len, D))
     np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
     return gx
 
 
-def _np_token_avgpool_fwd(x, mask):
+def token_avgpool_fwd(x, mask):
     counts = mask.sum(axis=1)
     return (x * mask[:, :, None]).sum(axis=1) / counts[:, None]
 
 
-def _np_token_avgpool_bwd(g, mask):
+def token_avgpool_bwd(g, mask):
     counts = mask.sum(axis=1)
     return mask[:, :, None] * (g / counts[:, None])[:, None, :]
 
 
-def _np_feature_maxpool_fwd(x, mask):
+def feature_maxpool_fwd(x, mask):
     arg = x.argmax(axis=2)
     out = np.take_along_axis(x, arg[:, :, None], axis=2)[:, :, 0] * mask
     return out, arg
 
 
-def _np_feature_maxpool_bwd(g, mask, arg, dim):
+def feature_maxpool_bwd(g, mask, arg, dim):
     B, L = g.shape
     gx = np.zeros((B, L, dim))
     np.put_along_axis(gx, arg[:, :, None], (g * mask)[:, :, None], axis=2)
     return gx
 
 
-def _np_feature_avgpool_fwd(x, mask):
+def feature_avgpool_fwd(x, mask):
     return x.mean(axis=2) * mask
 
 
-def _np_feature_avgpool_bwd(g, mask, dim):
+def feature_avgpool_bwd(g, mask, dim):
     return np.repeat(((g * mask) / dim)[:, :, None], dim, axis=2)
 
 
-def _np_masked_softmax_fwd(z, mask):
+def masked_softmax_fwd(z, mask):
     neg = np.where(mask != 0.0, z, -np.inf)
     e = np.exp(neg - neg.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_masked_softmax_bwd(g, s, mask):
+def masked_softmax_bwd(g, s):
     dot = (g * s).sum(axis=1, keepdims=True)
     return s * (g - dot)
 
 
-def _np_embedding_fwd(table, ids):
+def embedding_fwd(table, ids):
     return table[ids]
 
 
-def _np_embedding_bwd(g, ids, vocab_size, pad_id):
+def embedding_bwd(g, ids, vocab_size, pad_id):
     dim = g.shape[2]
     gt = np.zeros((vocab_size, dim))
     np.add.at(gt, ids.reshape(-1), g.reshape(-1, dim))
     if pad_id >= 0:
         gt[pad_id] = 0.0
     return gt
-
-
-_NUMPY_IMPL = {
-    "token_maxpool_fwd": _np_token_maxpool_fwd,
-    "token_maxpool_bwd": _np_token_maxpool_bwd,
-    "token_avgpool_fwd": _np_token_avgpool_fwd,
-    "token_avgpool_bwd": _np_token_avgpool_bwd,
-    "feature_maxpool_fwd": _np_feature_maxpool_fwd,
-    "feature_maxpool_bwd": _np_feature_maxpool_bwd,
-    "feature_avgpool_fwd": _np_feature_avgpool_fwd,
-    "feature_avgpool_bwd": _np_feature_avgpool_bwd,
-    "masked_softmax_fwd": _np_masked_softmax_fwd,
-    "masked_softmax_bwd": _np_masked_softmax_bwd,
-    "embedding_fwd": _np_embedding_fwd,
-    "embedding_bwd": _np_embedding_bwd,
-}
-
-IMPLS = {"numpy": _NUMPY_IMPL}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_token_maxpool_fwd(x, mask):
-        B, L, D = x.shape
-        out = np.empty((B, D))
-        arg = np.zeros((B, D), dtype=np.int64)
-        for b in range(B):
-            for d in range(D):
-                best = -np.inf
-                bi = 0
-                for l in range(L):
-                    if mask[b, l] != 0.0 and x[b, l, d] > best:
-                        best = x[b, l, d]
-                        bi = l
-                out[b, d] = best
-                arg[b, d] = bi
-        return out, arg
-
-    @njit(cache=True)
-    def _nb_token_maxpool_bwd(g, arg, seq_len):
-        B, D = g.shape
-        gx = np.zeros((B, seq_len, D))
-        for b in range(B):
-            for d in range(D):
-                gx[b, arg[b, d], d] = g[b, d]
-        return gx
-
-    @njit(cache=True)
-    def _nb_token_avgpool_fwd(x, mask):
-        B, L, D = x.shape
-        out = np.zeros((B, D))
-        for b in range(B):
-            count = 0.0
-            for l in range(L):
-                if mask[b, l] != 0.0:
-                    count += 1.0
-                    for d in range(D):
-                        out[b, d] += x[b, l, d]
-            for d in range(D):
-                out[b, d] /= count
-        return out
-
-    @njit(cache=True)
-    def _nb_token_avgpool_bwd(g, mask):
-        B, L = mask.shape
-        D = g.shape[1]
-        gx = np.zeros((B, L, D))
-        for b in range(B):
-            count = 0.0
-            for l in range(L):
-                if mask[b, l] != 0.0:
-                    count += 1.0
-            for l in range(L):
-                if mask[b, l] != 0.0:
-                    for d in range(D):
-                        gx[b, l, d] = g[b, d] / count
-        return gx
-
-    @njit(cache=True)
-    def _nb_feature_maxpool_fwd(x, mask):
-        B, L, D = x.shape
-        out = np.zeros((B, L))
-        arg = np.zeros((B, L), dtype=np.int64)
-        for b in range(B):
-            for l in range(L):
-                best = x[b, l, 0]
-                bi = 0
-                for d in range(1, D):
-                    if x[b, l, d] > best:
-                        best = x[b, l, d]
-                        bi = d
-                out[b, l] = best * mask[b, l]
-                arg[b, l] = bi
-        return out, arg
-
-    @njit(cache=True)
-    def _nb_feature_maxpool_bwd(g, mask, arg, dim):
-        B, L = g.shape
-        gx = np.zeros((B, L, dim))
-        for b in range(B):
-            for l in range(L):
-                gx[b, l, arg[b, l]] = g[b, l] * mask[b, l]
-        return gx
-
-    @njit(cache=True)
-    def _nb_feature_avgpool_fwd(x, mask):
-        B, L, D = x.shape
-        out = np.zeros((B, L))
-        for b in range(B):
-            for l in range(L):
-                s = 0.0
-                for d in range(D):
-                    s += x[b, l, d]
-                out[b, l] = s / D * mask[b, l]
-        return out
-
-    @njit(cache=True)
-    def _nb_feature_avgpool_bwd(g, mask, dim):
-        B, L = g.shape
-        gx = np.zeros((B, L, dim))
-        for b in range(B):
-            for l in range(L):
-                v = g[b, l] * mask[b, l] / dim
-                for d in range(dim):
-                    gx[b, l, d] = v
-        return gx
-
-    @njit(cache=True)
-    def _nb_masked_softmax_fwd(z, mask):
-        B, L = z.shape
-        s = np.zeros((B, L))
-        for b in range(B):
-            m = -np.inf
-            for l in range(L):
-                if mask[b, l] != 0.0 and z[b, l] > m:
-                    m = z[b, l]
-            total = 0.0
-            for l in range(L):
-                if mask[b, l] != 0.0:
-                    s[b, l] = np.exp(z[b, l] - m)
-                    total += s[b, l]
-            for l in range(L):
-                s[b, l] /= total
-        return s
-
-    @njit(cache=True)
-    def _nb_masked_softmax_bwd(g, s, mask):
-        B, L = g.shape
-        gz = np.zeros((B, L))
-        for b in range(B):
-            dot = 0.0
-            for l in range(L):
-                dot += g[b, l] * s[b, l]
-            for l in range(L):
-                gz[b, l] = s[b, l] * (g[b, l] - dot)
-        return gz
-
-    @njit(cache=True)
-    def _nb_embedding_fwd(table, ids):
-        B, L = ids.shape
-        D = table.shape[1]
-        out = np.empty((B, L, D))
-        for b in range(B):
-            for l in range(L):
-                row = ids[b, l]
-                for d in range(D):
-                    out[b, l, d] = table[row, d]
-        return out
-
-    @njit(cache=True)
-    def _nb_embedding_bwd(g, ids, vocab_size, pad_id):
-        B, L, D = g.shape
-        gt = np.zeros((vocab_size, D))
-        for b in range(B):
-            for l in range(L):
-                row = ids[b, l]
-                if row == pad_id:
-                    continue
-                for d in range(D):
-                    gt[row, d] += g[b, l, d]
-        return gt
-
-    IMPLS["numba"] = {
-        "token_maxpool_fwd": _nb_token_maxpool_fwd,
-        "token_maxpool_bwd": _nb_token_maxpool_bwd,
-        "token_avgpool_fwd": _nb_token_avgpool_fwd,
-        "token_avgpool_bwd": _nb_token_avgpool_bwd,
-        "feature_maxpool_fwd": _nb_feature_maxpool_fwd,
-        "feature_maxpool_bwd": _nb_feature_maxpool_bwd,
-        "feature_avgpool_fwd": _nb_feature_avgpool_fwd,
-        "feature_avgpool_bwd": _nb_feature_avgpool_bwd,
-        "masked_softmax_fwd": _nb_masked_softmax_fwd,
-        "masked_softmax_bwd": _nb_masked_softmax_bwd,
-        "embedding_fwd": _nb_embedding_fwd,
-        "embedding_bwd": _nb_embedding_bwd,
-    }
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_active_backend = ""
-
-
-def set_backend(name: str) -> None:
-    """Bind the module-level kernel names to one implementation set."""
-    global _active_backend
-    if name not in ("numpy", "numba"):
-        raise ConfigError(f"unknown kernel backend {name!r}: use 'numpy' or 'numba'")
-    if name == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba is not installed; falling back to the numpy kernels")
-        name = "numpy"
-    globals().update(IMPLS[name])
-    _active_backend = name
-
-
-def backend_name() -> str:
-    return _active_backend
-
-
-def warmup() -> None:
-    """Run every active kernel once on tiny inputs (pays jit compile upfront)."""
-    x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    out, arg = token_maxpool_fwd(x, mask)
-    token_maxpool_bwd(out, arg, 3)
-    token_avgpool_bwd(token_avgpool_fwd(x, mask), mask)
-    fo, fa = feature_maxpool_fwd(x, mask)
-    feature_maxpool_bwd(fo, mask, fa, 4)
-    feature_avgpool_bwd(feature_avgpool_fwd(x, mask), mask, 4)
-    s = masked_softmax_fwd(mask * 0.5, mask)
-    masked_softmax_bwd(s, s, mask)
-    table = np.ones((5, 4))
-    ids = np.array([[0, 1, 2], [3, 4, 0]], dtype=np.int64)
-    embedding_bwd(embedding_fwd(table, ids), ids, 5, 0)
-
-
-set_backend(os.environ.get("SEQATTN_BACKEND", "").strip().lower() or "numpy")

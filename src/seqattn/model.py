@@ -7,13 +7,14 @@ parameter arrays plus one JSON metadata entry).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backbone import EmbeddingTable, Vocab, embed, tokenize
 from .data import LabeledCorpus
-from .errors import FormatError
+from .errors import FormatError, SeqattnError
 from .head import HeadParams, cross_entropy, init_head, pool_sequence
 from .sam import SamConfig, SamParams, SamTrace, init_sam_params, sam_forward
 from .tensor import Mask, Tensor
@@ -159,29 +160,38 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    with np.load(path) as archive:
-        try:
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("holds a single array, not an .npz archive")
+        with archive:
             meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"unreadable checkpoint metadata: {exc}") from None
-        arrays = {
-            name[len("param/"):]: archive[name]
-            for name in archive.files
-            if name.startswith("param/")
-        }
-    cfg = SamConfig(**meta["sam"])
-    vocab = Vocab(meta["vocab"]) if meta["vocab"] is not None else None
-    rng = np.random.default_rng(0)
-    model = init_model(cfg, meta["num_classes"], meta["pooling"], rng, vocab=vocab)
+            arrays = {
+                name[len("param/"):]: archive[name]
+                for name in archive.files
+                if name.startswith("param/")
+            }
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"unreadable checkpoint: {exc}") from None
+    # metadata that lacks a field or carries a wrong type is a file problem
+    try:
+        cfg = SamConfig(**meta["sam"])
+        vocab = Vocab(meta["vocab"]) if meta["vocab"] is not None else None
+        rng = np.random.default_rng(0)
+        model = init_model(cfg, meta["num_classes"], meta["pooling"], rng, vocab=vocab)
+    except (KeyError, TypeError, ValueError, SeqattnError) as exc:
+        raise FormatError(f"checkpoint metadata does not describe a model: {exc!r}") from None
     expected = set(model.parameters())
     if expected != set(arrays):
         raise FormatError(
             f"checkpoint parameters {sorted(arrays)} do not match the configured model {sorted(expected)}"
         )
     for name, p in model.parameters().items():
-        if p.data.shape != arrays[name].shape:
+        arr = arrays[name]
+        if arr.shape != p.data.shape or arr.dtype.kind not in "biuf":
             raise FormatError(
-                f"checkpoint parameter '{name}' has shape {arrays[name].shape}, expected {p.data.shape}"
+                f"checkpoint parameter '{name}' holds {arr.dtype} of shape {arr.shape}, "
+                f"expected float64 of shape {p.data.shape}"
             )
-        p.data[...] = arrays[name]
+        p.data[...] = arr
     return model

@@ -41,7 +41,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and graph edge."""
+    """A dense array plus an optional gradient buffer and graph edge.
+
+    Only leaves (tensors built with ``requires_grad=True``) carry a
+    ``.grad`` buffer; results of operations record their graph edge and
+    keep ``grad`` at None, since nothing reads an intermediate gradient.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
@@ -83,7 +88,7 @@ class Tensor:
         out.data = data
         track = _grad_enabled and any(p.requires_grad for p in parents)
         out.requires_grad = track
-        out.grad = np.zeros_like(data) if track else None
+        out.grad = None
         out._parents = parents if track else ()
         out._vjp = vjp if track else None
         return out
@@ -275,7 +280,7 @@ def masked_softmax(x: Tensor, mask: Mask) -> Tensor:
     s = kernels.masked_softmax_fwd(x.data, md)
 
     def vjp(g):
-        return (kernels.masked_softmax_bwd(g, s, md),)
+        return (kernels.masked_softmax_bwd(g, s),)
 
     return Tensor._result(s, (x,), vjp, "masked_softmax")
 
@@ -347,7 +352,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d loss / d tensor into every participating grad buffer.
+    """Accumulate d loss / d leaf into the grad buffer of every leaf that
+    the loss depends on; intermediate tensors keep ``grad`` at None.
 
     Repeated calls without zeroing accumulate; the walk itself is
     deterministic, so two runs after a reset equal one run exactly.
@@ -362,8 +368,8 @@ def backward(loss: Tensor) -> None:
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
         if node._vjp is None:
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

@@ -141,6 +141,28 @@ class TestSamemb1:
         with pytest.raises(FormatError, match="offset 0"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize(
+        "header, records",
+        [
+            (b"[1, 2]", 0),
+            (b'"SAMEMB1"', 0),
+            (b'{"dim": 4}', 0),
+            (b'{"num_sequences": 1, "dim": null}', 0),
+            (b'{"num_sequences": 1, "dim": -128}', 1),
+            (b'{"num_sequences": 2, "dim": -128}', 2),
+            (b'{"num_sequences": -1, "dim": 4}', 0),
+        ],
+        ids=["list", "string", "no-count", "null-dim", "negative-dim-1", "negative-dim-2",
+             "negative-count"],
+    )
+    def test_bad_header_rejected_at_header_offset(self, tmp_path, header, records):
+        path = tmp_path / "header.semb"
+        blob = b"SAMEMB1\n" + header + b"\n"
+        blob += (struct.pack("<II", 2, 0) + b"\x00" * 32) * records
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"header.*\(byte offset 8\)"):
+            load_precomputed(path)
+
     def test_truncated_record(self, tmp_path):
         path = tmp_path / "trunc.semb"
         blob = b"SAMEMB1\n" + json.dumps({"num_sequences": 1, "dim": 4}).encode() + b"\n"

@@ -126,6 +126,16 @@ class TestPrecomputedPath:
         report = json.loads((out / "report.json").read_text())
         assert report["mean_metric"] > 0.6
 
+    @pytest.mark.parametrize(
+        "header", [b"[1, 2]", b'{"num_sequences": 2, "dim": -128}'], ids=["list", "negative-dim"]
+    )
+    def test_bad_header_is_format_error(self, tmp_path, capsys, header):
+        emb_path = tmp_path / "bad.semb"
+        emb_path.write_bytes(b"SAMEMB1\n" + header + b"\n" + (b"\x02\0\0\0" + b"\0" * 36) * 2)
+        code = run_cli("train", "--emb", f"precomputed:{emb_path}", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "byte offset 8" in capsys.readouterr().err
+
     def test_precomputed_with_data_flag_conflicts(self, tmp_path):
         code = run_cli(
             "train", "--emb", "precomputed:whatever.semb", "--synthetic", "trigger",
@@ -281,9 +291,36 @@ class TestHeatmapCommand:
         )
         assert code == 2
 
-    def test_bad_checkpoint_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        ["no-meta", "not-npz", "npy-array", "meta-lacks-vocab", "meta-lacks-sam",
+         "meta-wrong-type", "meta-not-object", "param-of-strings"],
+    )
+    def test_bad_checkpoint_is_format_error(self, trained_dir, tmp_path, damage):
         bad = tmp_path / "bad.npz"
-        np.savez(bad, hello=np.ones(3))
+        if damage == "no-meta":
+            np.savez(bad, hello=np.ones(3))
+        elif damage == "not-npz":
+            bad.write_text("label\ttext\n")
+        elif damage == "npy-array":
+            bad = tmp_path / "bad.npy"
+            np.save(bad, np.ones(3))
+        else:
+            with np.load(trained_dir / "checkpoint.npz") as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+            if damage == "meta-lacks-vocab":
+                del meta["vocab"]
+            elif damage == "meta-lacks-sam":
+                del meta["sam"]
+            elif damage == "meta-wrong-type":
+                meta["num_classes"] = "two"
+            elif damage == "meta-not-object":
+                meta = [meta]
+            else:
+                arrays["param/head.b"] = np.array(["a", "b"])
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez(bad, **arrays)
         code = run_cli("heatmap", "--checkpoint", str(bad), "--text", "x", "--out", str(tmp_path / "h"))
         assert code == 3
 

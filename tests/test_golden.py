@@ -1,0 +1,64 @@
+"""Golden training histories: fixed-seed runs must keep their exact bits.
+
+Each case runs one small ``seqattn train`` command and digests its
+``epochs.jsonl`` with the wall-clock ``seconds`` fields removed. A
+refactor of the training path that claims to preserve behaviour must
+leave both digests unchanged. The constants were recorded with numpy 2.4
+on OpenBLAS 0.3 (x86-64); a different BLAS build may round differently,
+in which case re-derive them from the commit before the refactor.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from seqattn.backbone import store_precomputed
+from seqattn.cli import main
+
+TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4"
+PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
+
+
+def history_digest(path) -> str:
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        rec.pop("seconds", None)
+    history = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return hashlib.sha256(history.encode("utf-8")).hexdigest()
+
+
+def write_samemb1(path) -> None:
+    """60 records of width 8, class 1 shifted along the first axis."""
+    rng = np.random.default_rng(11)
+    seqs = []
+    for i in range(60):
+        label = i % 2
+        vectors = rng.normal(size=(int(rng.integers(2, 11)), 8))
+        vectors[:, 0] += 1.5 * label
+        seqs.append((vectors, label))
+    store_precomputed(path, seqs)
+
+
+def train_table(tmp_path) -> list[str]:
+    return ["--synthetic", "cooc:240:30", "--dim", "8", "--max-len", "12"]
+
+
+def train_precomputed(tmp_path) -> list[str]:
+    data = tmp_path / "golden.semb"
+    write_samemb1(data)
+    return ["--emb", f"precomputed:{data}", "--dim", "8", "--max-len", "10"]
+
+
+@pytest.mark.parametrize(
+    "inputs, expected",
+    [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST)],
+    ids=["table", "precomputed"],
+)
+def test_training_history_digest(tmp_path, inputs, expected):
+    out = tmp_path / "run"
+    code = main(["train", *inputs(tmp_path), "--epochs", "3", "--folds", "2", "--batch", "16",
+                 "--lr", "0.05", "--seed", "7", "--out", str(out)])
+    assert code == 0
+    assert history_digest(out / "epochs.jsonl") == expected

@@ -180,6 +180,14 @@ class TestBackward:
         backward((x * x).sum())
         assert x.grad.tolist() == [2.0, 4.0]
 
+    def test_only_leaves_hold_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        square = x * x
+        loss = square.sum()
+        backward(loss)
+        assert square.grad is None and loss.grad is None
+        assert x.grad.tolist() == [2.0, 4.0]
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
