@@ -165,7 +165,10 @@ def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
         header = json.loads(blob[offset:newline].decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError(f"expected a JSON object, got {type(header).__name__}")
-        count, dim = int(header["num_sequences"]), int(header["dim"])
+        count, dim = header["num_sequences"], header["dim"]
+        for field, value in (("num_sequences", count), ("dim", dim)):
+            if type(value) is not int:  # bool is an int subclass, floats truncate
+                raise ValueError(f"{field} must be a JSON integer, got {value!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=offset) from None
     if count < 0 or dim < 0:

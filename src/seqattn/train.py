@@ -8,6 +8,7 @@ over configuration variants with shared seeds, so rows are comparable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -74,33 +75,75 @@ def init_adam_state(params: dict[str, Tensor]) -> AdamState:
     )
 
 
+# Elements per optimizer block. A block's rows of the weights, gradient and
+# both moments, plus two scratch buffers, take 6 x 128 KiB in float64 and
+# stay in L2 cache instead of streaming each temporary through DRAM.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(arrays: tuple[np.ndarray, ...], scratch: int):
+    """Yield views of one cache-sized block of rows of every array (all of
+    one shape), followed by ``scratch`` buffers of that block's shape.
+
+    An array that fits in one block, as does every array with one row or
+    none, is yielded whole; a row longer than a block is a block of its own.
+    """
+    lead = arrays[0]
+    if lead.size <= _BLOCK_ELEMENTS:
+        yield (*arrays, *(np.empty_like(lead) for _ in range(scratch)))
+        return
+    rows = len(lead)
+    step = max(1, _BLOCK_ELEMENTS // math.prod(lead.shape[1:]))
+    buffers = [np.empty((min(rows, step), *lead.shape[1:]), dtype=lead.dtype)
+               for _ in range(scratch)]
+    for lo in range(0, rows, step):
+        views = [a[lo : lo + step] for a in arrays]
+        n = len(views[0])
+        yield (*views, *(b[:n] for b in buffers))
+
+
 def adamw_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One decoupled-weight-decay update over every parameter."""
+    """One decoupled-weight-decay update over every parameter.
+
+    Elementwise, block by block, in place: each block runs the ufuncs of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``w = w - lr*(m/bc1 / (sqrt(v/bc2) + eps)) - (lr*wd)*w`` in that
+    expression's order, so the result is bit-identical to evaluating it
+    over whole arrays.
+    """
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.eps, cfg.lr
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    decay = lr * cfg.weight_decay
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        grad = grads[name]
+        if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data[...] = (
-            p.data
-            - cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps))
-            - cfg.lr * cfg.weight_decay * p.data
-        )
+        blocks = _row_blocks((p.data, grad, state.m[name], state.v[name]), scratch=2)
+        for w, g, m, v, t1, t2 in blocks:
+            np.multiply(m, b1, out=m)
+            np.multiply(c1, g, out=t1)
+            np.add(m, t1, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(c2, g, out=t1)
+            np.multiply(t1, g, out=t1)
+            np.add(v, t1, out=v)
+            np.divide(m, bc1, out=t1)
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            np.add(t2, eps, out=t2)
+            np.divide(t1, t2, out=t1)
+            np.multiply(t1, lr, out=t1)
+            np.multiply(decay, w, out=t2)
+            np.subtract(w, t1, out=w)
+            np.subtract(w, t2, out=w)
 
 
 def lookahead_sync(
@@ -110,12 +153,16 @@ def lookahead_sync(
     alpha: float,
     step_count: int,
 ) -> None:
-    """Every k steps pull the slow weights toward the fast ones and reset."""
+    """Every k steps pull the slow weights toward the fast ones and reset:
+    ``slow += alpha*(fast - slow)``, then ``fast = slow``, block by block."""
     if step_count % k != 0:
         return
     for name, p in fast.items():
-        slow[name] += alpha * (p.data - slow[name])
-        p.data[...] = slow[name]
+        for w, s, t in _row_blocks((p.data, slow[name]), scratch=1):
+            np.subtract(w, s, out=t)
+            np.multiply(t, alpha, out=t)
+            np.add(s, t, out=s)
+            w[...] = s
 
 
 def classification_report(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> EvalReport:

@@ -151,9 +151,11 @@ class TestSamemb1:
             (b'{"num_sequences": 1, "dim": -128}', 1),
             (b'{"num_sequences": 2, "dim": -128}', 2),
             (b'{"num_sequences": -1, "dim": 4}', 0),
+            (b'{"num_sequences": 1, "dim": 4.9}', 1),
+            (b'{"num_sequences": true, "dim": "4"}', 1),
         ],
         ids=["list", "string", "no-count", "null-dim", "negative-dim-1", "negative-dim-2",
-             "negative-count"],
+             "negative-count", "float-dim", "bool-count-string-dim"],
     )
     def test_bad_header_rejected_at_header_offset(self, tmp_path, header, records):
         path = tmp_path / "header.semb"

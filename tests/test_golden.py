@@ -3,7 +3,7 @@
 Each case runs one small ``seqattn train`` command and digests its
 ``epochs.jsonl`` with the wall-clock ``seconds`` fields removed. A
 refactor of the training path that claims to preserve behaviour must
-leave both digests unchanged. The constants were recorded with numpy 2.4
+leave every digest unchanged. The constants were recorded with numpy 2.4
 on OpenBLAS 0.3 (x86-64); a different BLAS build may round differently,
 in which case re-derive them from the commit before the refactor.
 """
@@ -19,6 +19,7 @@ from seqattn.cli import main
 
 TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4"
 PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
+BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
 
 
 def history_digest(path) -> str:
@@ -45,6 +46,11 @@ def train_table(tmp_path) -> list[str]:
     return ["--synthetic", "cooc:240:30", "--dim", "8", "--max-len", "12"]
 
 
+def train_big_table(tmp_path) -> list[str]:
+    # about 1300 table rows of width 64 per fold: six optimizer blocks, the last one partial
+    return ["--synthetic", "cooc:400:6000", "--dim", "64", "--max-len", "12"]
+
+
 def train_precomputed(tmp_path) -> list[str]:
     data = tmp_path / "golden.semb"
     write_samemb1(data)
@@ -53,8 +59,9 @@ def train_precomputed(tmp_path) -> list[str]:
 
 @pytest.mark.parametrize(
     "inputs, expected",
-    [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST)],
-    ids=["table", "precomputed"],
+    [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST),
+     (train_big_table, BIG_TABLE_DIGEST)],
+    ids=["table", "precomputed", "big-table"],
 )
 def test_training_history_digest(tmp_path, inputs, expected):
     out = tmp_path / "run"

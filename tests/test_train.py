@@ -5,8 +5,10 @@ from seqattn.data import make_synthetic
 from seqattn.errors import ConfigError, NumericError
 from seqattn.sam import SamConfig
 from seqattn.tensor import Tensor
+from seqattn import train
 from seqattn.train import (
     ABLATION_SETTINGS,
+    AdamState,
     TrainConfig,
     ablation_suite,
     adamw_step,
@@ -118,6 +120,122 @@ def test_adamw_with_wd0_alpha1_k1_degenerates_to_adam():
     theirs = reference_adam(np.zeros(2), grad_fn, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, 100)
     worst = max(np.max(np.abs(a - b)) for a, b in zip(mine, theirs))
     assert worst < 1e-9
+
+
+def unblocked_adamw_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
+    # the whole-array AdamW expression that the blocked update replaced, verbatim
+    state.t += 1
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+        m = state.m[name]
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p.data[...] = (
+            p.data
+            - cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps))
+            - cfg.lr * cfg.weight_decay * p.data
+        )
+
+
+def unblocked_lookahead_sync(fast, slow, k, alpha, step_count) -> None:
+    # the whole-array lookahead expression that the blocked sync replaced, verbatim
+    if step_count % k != 0:
+        return
+    for name, p in fast.items():
+        slow[name] += alpha * (p.data - slow[name])
+        p.data[...] = slow[name]
+
+
+BLOCK = train._BLOCK_ELEMENTS
+OPTIMIZER_SHAPES = {
+    "bias": (64,),
+    "single": (1,),
+    # a table over several blocks whose row count is not a multiple of rows per block
+    "table": (3 * (BLOCK // 48) + 7, 48),
+    "long-rows": (3, 20000),
+    "scalar": (),
+}
+
+
+def sparse_gradient(rng, shape):
+    """Gaussian values on at most 300 rows, zero elsewhere, like a table's gradient."""
+    g = np.zeros(shape)
+    if not shape:
+        g[...] = rng.normal()
+        return g
+    rows = rng.choice(shape[0], size=min(shape[0], 300), replace=False)
+    g[rows] = rng.normal(size=(len(rows), *shape[1:]))
+    return g
+
+
+def optimizer_params(rng):
+    params = {}
+    for name, shape in OPTIMIZER_SHAPES.items():
+        data = rng.normal(size=shape)
+        data[rng.random(size=shape) < 0.05] = -0.0  # keep signed zeros in play
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestBlockedOptimizer:
+    def test_shapes_cover_block_edges(self):
+        table_rows, dim = OPTIMIZER_SHAPES["table"]
+        rows_per_block = BLOCK // dim
+        assert table_rows > 3 * rows_per_block and table_rows % rows_per_block != 0
+        assert OPTIMIZER_SHAPES["long-rows"][1] > BLOCK
+
+    def test_ten_steps_match_unblocked_expressions_bit_for_bit(self):
+        cfg = TrainConfig(lr=0.05, weight_decay=0.01, lookahead_k=3, lookahead_alpha=0.5)
+        mine = optimizer_params(np.random.default_rng(3))
+        theirs = optimizer_params(np.random.default_rng(3))
+        my_state, their_state = init_adam_state(mine), init_adam_state(theirs)
+        my_slow = {n: p.data.copy() for n, p in mine.items()}
+        their_slow = {n: p.data.copy() for n, p in theirs.items()}
+        rng = np.random.default_rng(4)
+        for step in range(1, 11):
+            grads = {n: sparse_gradient(rng, shape) for n, shape in OPTIMIZER_SHAPES.items()}
+            adamw_step(mine, grads, my_state, cfg)
+            unblocked_adamw_step(theirs, grads, their_state, cfg)
+            lookahead_sync(mine, my_slow, cfg.lookahead_k, cfg.lookahead_alpha, step)
+            unblocked_lookahead_sync(theirs, their_slow, cfg.lookahead_k, cfg.lookahead_alpha, step)
+        assert my_state.t == their_state.t == 10
+        for name in OPTIMIZER_SHAPES:
+            assert mine[name].data.shape == OPTIMIZER_SHAPES[name]
+            assert same_bits(mine[name].data, theirs[name].data), name
+            assert same_bits(my_state.m[name], their_state.m[name]), name
+            assert same_bits(my_state.v[name], their_state.v[name]), name
+            assert same_bits(my_slow[name], their_slow[name]), name
+
+    def test_non_finite_gradient_raises_before_that_parameter_is_touched(self):
+        rng = np.random.default_rng(5)
+        params = optimizer_params(rng)
+        state = init_adam_state(params)
+        adamw_step(params, {n: sparse_gradient(rng, s) for n, s in OPTIMIZER_SHAPES.items()},
+                   state, TrainConfig())
+        grads = {n: sparse_gradient(rng, s) for n, s in OPTIMIZER_SHAPES.items()}
+        grads["table"][-1, -1] = np.inf  # last block of a later parameter
+        before = {n: (params[n].data.copy(), state.m[n].copy(), state.v[n].copy())
+                  for n in OPTIMIZER_SHAPES}
+        with pytest.raises(NumericError, match="'table'"):
+            adamw_step(params, grads, state, TrainConfig())
+        assert not same_bits(params["bias"].data, before["bias"][0])  # earlier ones stepped
+        data, m, v = before["table"]
+        assert same_bits(params["table"].data, data)
+        assert same_bits(state.m["table"], m)
+        assert same_bits(state.v["table"], v)
 
 
 class TestClassificationReport:
