@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, FormatError
-from .tensor import Tensor
+from .tensor import RowGrad, Tensor
 
 PAD_ID = 0
 UNK_ID = 1
@@ -102,8 +102,9 @@ class EmbeddingTable:
 def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
     """Gather rows of the table into a (B, L, D) tensor.
 
-    Gradients scatter-add back into the gathered rows only; the PAD row
-    receives none.
+    The gradient is row-sparse: it covers the gathered rows only, so
+    ``backward`` adds into those rows of the table's gradient and the
+    next ``zero_grad`` clears just them. The PAD row receives none.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -120,7 +121,8 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
     vocab_size = table.vocab_size
 
     def vjp(g):
-        return (kernels.embedding_bwd(g, ids, vocab_size, PAD_ID),)
+        rows, values = kernels.embedding_bwd(g, ids, vocab_size, PAD_ID)
+        return (RowGrad(rows, values, weight.shape),)
 
     return Tensor._result(out, (weight,), vjp, "embed")
 

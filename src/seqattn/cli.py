@@ -2,8 +2,9 @@
 
 Exit codes are stable across commands: 0 success, 2 usage/configuration,
 3 data or file-format problems, 4 numeric failure. Every run writes a
-manifest.json capturing the resolved configuration, seed, and input
-digests; re-running the same manifest reproduces all metrics bit-for-bit.
+manifest.json capturing the resolved configuration, seed, input
+digests and environment (Python, numpy, BLAS, thread counts); re-running
+the same manifest reproduces all metrics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -175,6 +178,21 @@ def _build_configs(args, parser) -> tuple[SamConfig, TrainConfig]:
     return sam_cfg, train_cfg
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What the bit-for-bit promise depends on besides the code: float
+    results can change with the numpy or BLAS build and the thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, args, digests: dict, artifacts: list[str]) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
@@ -185,6 +203,7 @@ def _write_manifest(out_dir: Path, command: str, args, digests: dict, artifacts:
         "seed": getattr(args, "seed", None),
         "input_digests": digests,
         "artifacts": artifacts,
+        "environment": _environment(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -56,8 +56,12 @@ class LabeledCorpus:
 
 def parse_tsv(path) -> LabeledCorpus:
     """Read ``label<TAB>text`` lines; CRLF and LF are equivalent."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        raw = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason}", offset=exc.start) from None
     records: list[tuple[str, int]] = []
     mapping: dict[str, int] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):

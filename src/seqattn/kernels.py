@@ -78,9 +78,16 @@ def embedding_fwd(table, ids):
 
 
 def embedding_bwd(g, ids, vocab_size, pad_id):
+    # row-sparse table gradient: the non-PAD ids that occur, ascending, and
+    # per id the sum of its positions' gradients, added in position order;
+    # bincount finds the ids without the sort that np.unique runs
     dim = g.shape[2]
-    gt = np.zeros((vocab_size, dim))
-    np.add.at(gt, ids.reshape(-1), g.reshape(-1, dim))
-    if pad_id >= 0:
-        gt[pad_id] = 0.0
-    return gt
+    flat = ids.reshape(-1)
+    keep = flat != pad_id
+    flat = flat[keep]
+    rows = np.flatnonzero(np.bincount(flat, minlength=vocab_size))
+    slot = np.empty(vocab_size, dtype=np.intp)
+    slot[rows] = np.arange(rows.size)
+    values = np.zeros((rows.size, dim))
+    np.add.at(values, slot[flat], g.reshape(-1, dim)[keep])
+    return rows, values

@@ -40,20 +40,55 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class RowGrad:
+    """A gradient that is zero outside a few rows of a (V, ...) array.
+
+    ``values[k]`` is row ``rows[k]``, with rows unique. Values are sums
+    started from +0.0, and a leaf's buffer is only ever cleared and added
+    to, so neither holds -0.0: adding the values into the buffer's rows
+    gives the bits of adding :meth:`dense` into the whole buffer. Summing
+    two gradients of one leaf (a tensor used twice in a graph) goes
+    through the dense form.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+    __array_ufunc__ = None  # ndarray + RowGrad defers to RowGrad.__radd__
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+    def __add__(self, other):
+        return self.dense() + other
+
+    def __radd__(self, other):
+        return other + self.dense()
+
+
 class Tensor:
     """A dense array plus an optional gradient buffer and graph edge.
 
     Only leaves (tensors built with ``requires_grad=True``) carry a
     ``.grad`` buffer; results of operations record their graph edge and
     keep ``grad`` at None, since nothing reads an intermediate gradient.
+    A leaf records the rows that row-sparse gradients wrote into its
+    buffer (``_rows``; None once a dense gradient was added, or before
+    the first clear), so that ``zero_grad`` clears only those rows.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_rows", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self._rows: list[np.ndarray] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
 
@@ -72,8 +107,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
+        if self.grad is None:
+            return
+        if self._rows is None:
             self.grad[...] = 0.0
+        else:
+            for rows in self._rows:
+                self.grad[rows] = 0.0
+        self._rows = []
+
+    def _accumulate(self, g) -> None:
+        if isinstance(g, RowGrad):
+            self.grad[g.rows] += g.values
+            if self._rows is not None:
+                self._rows.append(g.rows)
+        else:
+            self.grad += g
+            self._rows = None
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -353,7 +403,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into the grad buffer of every leaf that
-    the loss depends on; intermediate tensors keep ``grad`` at None.
+    the loss depends on; intermediate tensors keep ``grad`` at None. A
+    row-sparse gradient (:class:`RowGrad`) is added into the rows it
+    covers and leaves every other row of the buffer untouched.
 
     Repeated calls without zeroing accumulate; the walk itself is
     deterministic, so two runs after a reset equal one run exactly.
@@ -369,7 +421,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._vjp is None:
-            node.grad += g
+            node._accumulate(g)
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

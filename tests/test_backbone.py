@@ -15,7 +15,7 @@ from seqattn.backbone import (
     tokenize,
 )
 from seqattn.errors import DataError, FormatError
-from seqattn.tensor import backward
+from seqattn.tensor import Tensor, backward
 
 
 @pytest.fixture
@@ -92,6 +92,111 @@ class TestEmbed:
         table.weight.data[PAD_ID] = 5.0
         table.enforce_pad_zero()
         assert np.all(table.weight.data[PAD_ID] == 0.0)
+
+
+def dense_embedding_bwd(g, ids, vocab_size, pad_id):
+    # the dense kernel that the row-sparse gradient replaced, verbatim; the
+    # backward walk then added its result into the leaf with ``grad += gt``
+    dim = g.shape[2]
+    gt = np.zeros((vocab_size, dim))
+    np.add.at(gt, ids.reshape(-1), g.reshape(-1, dim))
+    if pad_id >= 0:
+        gt[pad_id] = 0.0
+    return gt
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRowSparseGradient:
+    """The table's row-sparse gradient against the dense scatter plus
+    ``grad += gt`` that it replaced, bit for bit with sign bits."""
+
+    V, D = 50, 7
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(21)
+
+    def table(self):
+        return EmbeddingTable.init(self.V, self.D, np.random.default_rng(0))
+
+    def ids(self, rng):
+        # ids from a few rows repeat within and across sequences, PAD included
+        ids = rng.integers(0, 12, size=(6, 9))
+        ids[0] = PAD_ID
+        ids[1, :4] = 5
+        return ids
+
+    def upstream(self, rng, shape):
+        # magnitudes over 16 decades, so the order of additions shows in the bits
+        g = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        g[rng.random(size=shape) < 0.1] = -0.0
+        return g
+
+    def weighted(self, ids, table, g):
+        # d loss / d embed output is exactly g
+        return (embed(ids, table) * Tensor(g)).sum()
+
+    def test_one_backward(self, rng):
+        table, ids = self.table(), self.ids(rng)
+        g = self.upstream(rng, ids.shape + (self.D,))
+        backward(self.weighted(ids, table, g))
+        expected = np.zeros((self.V, self.D))
+        expected += dense_embedding_bwd(g, ids, self.V, PAD_ID)
+        assert same_bits(table.weight.grad, expected)
+
+    def test_two_backwards_accumulate(self, rng):
+        table = self.table()
+        table.weight.zero_grad()
+        expected = np.zeros((self.V, self.D))
+        for _ in range(2):
+            ids = self.ids(rng)
+            g = self.upstream(rng, ids.shape + (self.D,))
+            backward(self.weighted(ids, table, g))
+            expected += dense_embedding_bwd(g, ids, self.V, PAD_ID)
+        assert same_bits(table.weight.grad, expected)
+
+    def test_two_embeds_in_one_graph(self, rng):
+        table = self.table()
+        ids_a, ids_b = self.ids(rng), self.ids(rng)[:, :5]
+        g_a = self.upstream(rng, ids_a.shape + (self.D,))
+        g_b = self.upstream(rng, ids_b.shape + (self.D,))
+        backward(self.weighted(ids_a, table, g_a) + self.weighted(ids_b, table, g_b))
+        expected = np.zeros((self.V, self.D))
+        expected += (dense_embedding_bwd(g_a, ids_a, self.V, PAD_ID)
+                     + dense_embedding_bwd(g_b, ids_b, self.V, PAD_ID))
+        assert same_bits(table.weight.grad, expected)
+
+    def test_zero_grad_after_scatter_clears_to_positive_zero(self, rng):
+        table = self.table()
+        table.weight.zero_grad()
+        for _ in range(2):
+            ids = self.ids(rng)
+            backward(self.weighted(ids, table, self.upstream(rng, ids.shape + (self.D,))))
+        assert np.count_nonzero(table.weight.grad) > 0
+        table.weight.zero_grad()
+        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+
+    def test_zero_grad_after_dense_accumulation_clears_every_row(self, rng):
+        table, ids = self.table(), self.ids(rng)
+        table.weight.zero_grad()  # the leaf now holds a record of written rows
+        g = self.upstream(rng, ids.shape + (self.D,))
+        c = self.upstream(rng, (self.V, self.D))
+        # the table is also used densely, so a dense gradient reaches the leaf
+        backward(self.weighted(ids, table, g) + (table.weight * Tensor(c)).sum())
+        expected = np.zeros((self.V, self.D))
+        expected += dense_embedding_bwd(g, ids, self.V, PAD_ID) + c
+        assert same_bits(table.weight.grad, expected)
+        table.weight.zero_grad()
+        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+
+    def test_leaf_without_record_clears_every_row(self):
+        table = self.table()
+        table.weight.grad[...] = 3.0  # written outside backward, before any clear
+        table.weight.zero_grad()
+        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
 
 
 class TestSamemb1:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -40,6 +42,14 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 1
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        for var, value in env["threads"].items():
+            assert value == os.environ.get(var)
 
     def test_missing_inputs_is_usage_error(self, tmp_path):
         assert run_cli("train", "--out", str(tmp_path / "x")) == 2

@@ -42,6 +42,12 @@ class TestParseTsv:
         with pytest.raises(FormatError, match="line 2"):
             parse_tsv(path)
 
+    def test_invalid_utf8_reports_offset(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("1\tgood\n0\tcaf\u00e9\n".encode("latin-1"))
+        with pytest.raises(FormatError, match=r"not UTF-8 text.*byte offset 12"):
+            parse_tsv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")

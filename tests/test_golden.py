@@ -20,6 +20,7 @@ from seqattn.cli import main
 TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4"
 PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
 BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
+MAXPOOL_DIGEST = "62cbca36fcf514cbb3e1426e0868acd8205967dec3c34a0c6c867b55ad6fd23c"
 
 
 def history_digest(path) -> str:
@@ -51,6 +52,12 @@ def train_big_table(tmp_path) -> list[str]:
     return ["--synthetic", "cooc:400:6000", "--dim", "64", "--max-len", "12"]
 
 
+def train_maxpool(tmp_path) -> list[str]:
+    # max pooling, the reversed module order and the dropout draws from the training rng
+    return ["--synthetic", "cooc:240:30", "--dim", "8", "--max-len", "12",
+            "--pool", "max", "--order", "tam-fam", "--dropout", "0.1"]
+
+
 def train_precomputed(tmp_path) -> list[str]:
     data = tmp_path / "golden.semb"
     write_samemb1(data)
@@ -60,8 +67,8 @@ def train_precomputed(tmp_path) -> list[str]:
 @pytest.mark.parametrize(
     "inputs, expected",
     [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST),
-     (train_big_table, BIG_TABLE_DIGEST)],
-    ids=["table", "precomputed", "big-table"],
+     (train_big_table, BIG_TABLE_DIGEST), (train_maxpool, MAXPOOL_DIGEST)],
+    ids=["table", "precomputed", "big-table", "maxpool-tam-fam-dropout"],
 )
 def test_training_history_digest(tmp_path, inputs, expected):
     out = tmp_path / "run"
