@@ -104,41 +104,37 @@ def _parse_synthetic(spec: str, parser: argparse.ArgumentParser) -> LabeledCorpu
     try:
         n = int(parts[1]) if len(parts) > 1 else 2000
         vocab = int(parts[2]) if len(parts) > 2 else 50
+        return make_synthetic(n=n, vocab_size=vocab, trigger_rule=rule, seed=0)
     except ValueError:
         parser.error(f"bad synthetic spec {spec!r}: expected rule[:n[:vocab]]")
-    return make_synthetic(n=n, vocab_size=vocab, trigger_rule=rule, seed=0)
+    except DataError as exc:
+        parser.error(f"bad synthetic spec {spec!r}: {exc}")
 
 
-def _resolve_inputs(args, parser) -> tuple[LabeledCorpus, list | None, dict[str, str]]:
-    """Returns (corpus, emb_seqs or None, input digests)."""
+def _resolve_inputs(args, parser) -> tuple[LabeledCorpus, dict[str, str]]:
+    """Returns (corpus, input digests). A SAMEMB1 corpus holds each record's
+    (L_i, D) vectors in place of a text."""
     digests: dict[str, str] = {}
-    precomputed = args.emb.startswith("precomputed:")
-    if precomputed:
+    if args.emb.startswith("precomputed:"):
         if args.data or args.synthetic:
             parser.error("--emb precomputed:PATH carries its own labels; drop --data/--synthetic")
         path = args.emb.split(":", 1)[1]
         digests[path] = _sha256(path)
-        seqs = load_precomputed(path)
         mapping: dict[str, int] = {}
-        for _, label in seqs:
-            mapping.setdefault(str(label), len(mapping))
-        if len(mapping) < 2:
-            raise DataError("precomputed file holds fewer than 2 distinct labels")
-        seqs = [(vec, mapping[str(label)]) for vec, label in seqs]
-        corpus = LabeledCorpus(
-            records=[("", label) for _, label in seqs],
-            num_classes=len(mapping),
-            label_mapping=mapping,
-        )
-        return corpus, seqs, digests
+        records = [(vectors, mapping.setdefault(str(label), len(mapping)))
+                   for vectors, label in load_precomputed(path)]
+        if records and records[0][0].shape[1] != args.dim:
+            parser.error(f"--dim {args.dim} does not match the embedding file width "
+                         f"{records[0][0].shape[1]}")
+        return LabeledCorpus(records, num_classes=len(mapping), label_mapping=mapping), digests
     if args.emb != "table":
         parser.error(f"--emb must be 'table' or 'precomputed:PATH', got {args.emb!r}")
     if bool(args.data) == bool(args.synthetic):
         parser.error("exactly one of --data or --synthetic is required")
     if args.data:
         digests[args.data] = _sha256(args.data)
-        return parse_tsv(args.data), None, digests
-    return _parse_synthetic(args.synthetic, parser), None, digests
+        return parse_tsv(args.data), digests
+    return _parse_synthetic(args.synthetic, parser), digests
 
 
 def _sha256(path) -> str:
@@ -236,16 +232,12 @@ def _report_dict(result) -> dict:
 
 
 def cmd_train(args, parser) -> int:
-    corpus, emb_seqs, digests = _resolve_inputs(args, parser)
-    if emb_seqs:
-        file_dim = emb_seqs[0][0].shape[1]
-        if file_dim != args.dim:
-            parser.error(f"--dim {args.dim} does not match the embedding file width {file_dim}")
+    corpus, digests = _resolve_inputs(args, parser)
     sam_cfg, train_cfg = _build_configs(args, parser)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = train_run(corpus, sam_cfg, train_cfg, pooling=args.pool, emb_seqs=emb_seqs)
+    result = train_run(corpus, sam_cfg, train_cfg, pooling=args.pool)
 
     with open(out_dir / "epochs.jsonl", "w") as fh:
         for record in result.history:
@@ -262,9 +254,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_ablate(args, parser) -> int:
-    corpus, emb_seqs, digests = _resolve_inputs(args, parser)
-    if emb_seqs is not None:
-        parser.error("ablate currently drives the table-embedding path only")
+    corpus, digests = _resolve_inputs(args, parser)
     sam_cfg, train_cfg = _build_configs(args, parser)
     settings = None
     if args.settings:
@@ -292,9 +282,7 @@ def cmd_ablate(args, parser) -> int:
 
 
 def cmd_sweep_delta(args, parser) -> int:
-    corpus, emb_seqs, digests = _resolve_inputs(args, parser)
-    if emb_seqs is not None:
-        parser.error("sweep-delta currently drives the table-embedding path only")
+    corpus, digests = _resolve_inputs(args, parser)
     if args.delta is not None:
         parser.error("--delta is swept; use --grid to control the range")
     sam_cfg, train_cfg = _build_configs(args, parser)

@@ -2,14 +2,15 @@
 
 The on-disk carrier is a TSV with one record per line, ``label<TAB>text``.
 Labels are densified to 0..K-1 in order of first appearance and the
-mapping is kept on the corpus. Synthetic corpora provide a separable
-sanity task (a single trigger token decides the class) and a harder
-co-occurrence task that no single-token rule can solve.
+mapping is kept on the corpus. A record's input is a text, or an
+``(L_i, D)`` float64 array of precomputed token vectors (a SAMEMB1 file).
+Synthetic corpora provide a separable sanity task (a single trigger token
+decides the class) and a harder co-occurrence task that no single-token
+rule can solve.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ CO_TOKEN = 11
 
 @dataclass
 class LabeledCorpus:
-    records: list[tuple[str, int]]
+    records: list[tuple[str | np.ndarray, int]]  # (text or (L_i, D) vectors, dense label)
     num_classes: int
     label_mapping: dict[str, int] = field(default_factory=dict)  # original -> dense
 
@@ -42,16 +43,6 @@ class LabeledCorpus:
             num_classes=self.num_classes,
             label_mapping=dict(self.label_mapping),
         )
-
-    def class_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for _, label in self.records:
-            counts[label] += 1
-        return counts
-
-    def majority_rate(self) -> float:
-        counts = self.class_counts()
-        return float(counts.max() / counts.sum())
 
 
 def parse_tsv(path) -> LabeledCorpus:
@@ -88,19 +79,6 @@ def serialize_tsv(corpus: LabeledCorpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for text, label in corpus.records:
             fh.write(f"{label}\t{text}\n")
-
-
-def corpus_json(corpus: LabeledCorpus) -> str:
-    """Normalized-corpus JSON for reproducibility archives."""
-    return json.dumps(
-        {
-            "num_classes": corpus.num_classes,
-            "label_mapping": corpus.label_mapping,
-            "records": [{"label": l, "text": t} for t, l in corpus.records],
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
 
 
 def kfold_split(corpus: LabeledCorpus, k: int, seed: int) -> np.ndarray:

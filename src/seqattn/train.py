@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledCorpus, kfold_split, train_dev_indices
 from .backbone import Vocab
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import Batch, Model, encode_embeddings, encode_texts, init_model, take
 from .sam import Order, SamConfig
 from .tensor import Tensor, backward, no_grad
@@ -290,32 +290,36 @@ def _train_single(
     return best_state, best_report, best_epoch, history, best_report.seconds_per_epoch
 
 
+def _encode(corpus: LabeledCorpus, vocab: Vocab | None, max_len: int) -> Batch:
+    """The model input of a corpus: token ids through ``vocab`` for texts,
+    padded vectors for ``(L_i, D)`` arrays (no vocabulary)."""
+    if vocab is not None:
+        return encode_texts(corpus, vocab, max_len)
+    return encode_embeddings(corpus.records, max_len)
+
+
 def train_run(
     corpus: LabeledCorpus,
     sam_cfg: SamConfig,
     train_cfg: TrainConfig,
     pooling: str = "mean",
-    emb_seqs: list[tuple[np.ndarray, int]] | None = None,
 ) -> TrainResult:
     """Train one model per fold and keep the best by dev metric.
 
-    Table mode builds a vocabulary from each fold's training split;
-    precomputed mode (``emb_seqs``) trains the attention stage and head on
-    fixed vectors. ``folds=1`` trains once against a held-out fifth of the
-    data. Deterministic for a fixed seed; a fold whose loss diverges is
-    reported and skipped, not fatal.
+    A corpus of texts trains a table over each fold's training vocabulary;
+    a corpus of ``(L_i, D)`` arrays trains the attention stage and head on
+    those fixed vectors. ``folds=1`` trains once against a held-out fifth
+    of the data. Deterministic for a fixed seed; a fold whose loss diverges
+    is reported and skipped, not fatal.
     """
-    if len(corpus) == 0:
-        raise ConfigError("empty dataset")
+    if corpus.num_classes < 2:
+        raise DataError(f"need at least 2 distinct labels, got {corpus.num_classes}")
     metric = metric_name_for(corpus.num_classes)
     # folds=1 trains once against a held-out fifth (fold 0 of an internal 5-fold)
     k = 5 if train_cfg.folds == 1 else train_cfg.folds
     assignment = kfold_split(corpus, k, train_cfg.seed)
     fold_ids = [0] if train_cfg.folds == 1 else list(range(train_cfg.folds))
-
-    all_embs = None
-    if emb_seqs is not None:
-        all_embs = encode_embeddings(emb_seqs, sam_cfg.max_len)
+    texts = isinstance(corpus.records[0][0], str)
 
     outcomes: list[FoldOutcome] = []
     history: list[dict] = []
@@ -326,15 +330,11 @@ def train_run(
     for fold in fold_ids:
         train_idx, dev_idx = train_dev_indices(assignment, fold)
         rng = np.random.default_rng([train_cfg.seed, fold])
-        if all_embs is not None:
-            model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=None)
-            train_batch = take(all_embs, train_idx)
-            dev_batch = take(all_embs, dev_idx)
-        else:
-            vocab = Vocab.build(corpus.subset(train_idx).texts())
-            model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
-            train_batch = encode_texts(corpus.subset(train_idx), vocab, sam_cfg.max_len)
-            dev_batch = encode_texts(corpus.subset(dev_idx), vocab, sam_cfg.max_len)
+        train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
+        vocab = Vocab.build(train_set.texts()) if texts else None
+        model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
+        train_batch = _encode(train_set, vocab, sam_cfg.max_len)
+        dev_batch = _encode(dev_set, vocab, sam_cfg.max_len)
         try:
             best_state, report, best_epoch, fold_history, spe = _train_single(
                 model, train_batch, dev_batch, train_cfg, fold, rng, metric
@@ -451,7 +451,7 @@ def delta_sweep(
         cfg = replace(base_cfg, delta=float(delta))
         result = train_run(corpus, cfg, train_cfg, pooling=pooling)
         probe = corpus.subset(range(min(len(corpus), 64)))
-        batch = encode_texts(probe, result.model.vocab, cfg.max_len)
+        batch = _encode(probe, result.model.vocab, cfg.max_len)
         with no_grad():
             _, trace = result.model.forward(batch)
         points.append(

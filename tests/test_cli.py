@@ -7,11 +7,33 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from seqattn.backbone import store_precomputed
 from seqattn.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def write_vectors(path, n=200, labels=(0, 1), dim=6):
+    """A SAMEMB1 file of n records; class 1 shifted along feature 1."""
+    rng = np.random.default_rng(1)
+    seqs = []
+    for i in range(n):
+        label = labels[i % len(labels)]
+        vec = rng.normal(size=(int(rng.integers(2, 6)), dim)).astype(np.float32)
+        vec[:, 1] += 2.5 * label
+        seqs.append((vec, label))
+    store_precomputed(path, seqs)
+    return path
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+COMMANDS = [["train"], ["ablate", "--settings", "SAM"], ["sweep-delta", "--grid", "0:0:1"]]
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +112,10 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(data) in manifest["input_digests"]
 
+    @pytest.mark.parametrize("spec", ["trigger:5", "trigger:100:5", "cooc:-3", "trigger:x"])
+    def test_bad_synthetic_spec_is_usage_error(self, tmp_path, spec):
+        assert run_cli("train", "--synthetic", spec, "--out", str(tmp_path / "x")) == 2
+
     def test_missing_tsv_is_data_error(self, tmp_path):
         code = run_cli("train", "--data", str(tmp_path / "absent.tsv"), "--out", str(tmp_path / "x"))
         assert code == 3
@@ -116,17 +142,7 @@ class TestTrainCommand:
 
 class TestPrecomputedPath:
     def test_train_on_samemb1(self, tmp_path):
-        from seqattn.backbone import store_precomputed
-
-        rng = np.random.default_rng(1)
-        seqs = []
-        for i in range(200):
-            label = i % 2
-            vec = rng.normal(size=(int(rng.integers(2, 6)), 6)).astype(np.float32)
-            vec[:, 1] += 2.5 * label
-            seqs.append((vec, label))
-        emb_path = tmp_path / "vectors.semb"
-        store_precomputed(emb_path, seqs)
+        emb_path = write_vectors(tmp_path / "vectors.semb")
         out = tmp_path / "run"
         code = run_cli(
             "train", "--emb", f"precomputed:{emb_path}", "--dim", "6", "--max-len", "6",
@@ -135,6 +151,41 @@ class TestPrecomputedPath:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mean_metric"] > 0.6
+
+    def test_ablate_and_sweep_agree_with_train_on_samemb1(self, tmp_path):
+        emb_path = write_vectors(tmp_path / "vectors.semb", n=80)
+        common = ("--emb", f"precomputed:{emb_path}", "--dim", "6", "--max-len", "6",
+                  "--epochs", "2", "--folds", "2", "--seed", "5")
+        assert run_cli("train", *common, "--out", str(tmp_path / "train")) == 0
+        assert run_cli("ablate", *common, "--out", str(tmp_path / "ablate")) == 0
+        assert run_cli("sweep-delta", *common, "--grid", "0:0:1", "--out", str(tmp_path / "sweep")) == 0
+        report = json.loads((tmp_path / "train" / "report.json").read_text())
+        rows = read_csv(tmp_path / "ablate" / "ablation.csv")
+        assert [r[0] for r in rows[1:]] == ["baseline", "-FAM", "-TAM", "TAM+FAM", "delta=0.1", "SAM"]
+        # CSV carries six decimals
+        assert float(rows[-1][1]) == pytest.approx(report["mean_metric"], abs=5e-7)
+        assert read_csv(tmp_path / "sweep" / "sweep.csv")[1:] == [["0", rows[-1][1]]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_dim_mismatch_is_usage_error(self, tmp_path, capsys, command):
+        emb_path = write_vectors(tmp_path / "vectors.semb", n=20)
+        code = run_cli(*command, "--emb", f"precomputed:{emb_path}", "--dim", "8",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "embedding file width 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["tsv", "samemb1"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_one_label_is_data_error(self, tmp_path, capsys, source, command):
+        if source == "tsv":
+            data = tmp_path / "one.tsv"
+            data.write_text("".join(f"4\tword{i} other\n" for i in range(20)))
+            inputs = ("--data", str(data))
+        else:
+            data = write_vectors(tmp_path / "one.semb", n=20, labels=(4,))
+            inputs = ("--emb", f"precomputed:{data}", "--dim", "6")
+        assert run_cli(*command, *inputs, "--epochs", "1", "--out", str(tmp_path / "x")) == 3
+        assert "2 distinct labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header", [b"[1, 2]", b'{"num_sequences": 2, "dim": -128}'], ids=["list", "negative-dim"]
@@ -162,8 +213,7 @@ class TestAblateCommand:
             "--epochs", "2", "--folds", "2", "--seed", "2", "--out", str(out),
         )
         assert code == 0
-        with open(out / "ablation.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_csv(out / "ablation.csv")
         assert rows[0] == ["setting", "metric", "seconds_per_epoch"]
         assert [r[0] for r in rows[1:]] == ["baseline", "-FAM", "-TAM", "TAM+FAM", "delta=0.1", "SAM"]
         for row in rows[1:]:

@@ -4,7 +4,6 @@ import pytest
 from seqattn.backbone import split_text
 from seqattn.data import (
     LabeledCorpus,
-    corpus_json,
     kfold_split,
     make_synthetic,
     parse_tsv,
@@ -63,12 +62,6 @@ class TestParseTsv:
         again = parse_tsv(out)
         assert again.records == corpus.records
         assert again.num_classes == corpus.num_classes
-
-    def test_corpus_json_shape(self, tmp_path):
-        src = tmp_path / "src.tsv"
-        src.write_text("0\ta\n1\tb\n")
-        blob = corpus_json(parse_tsv(src))
-        assert '"num_classes": 2' in blob
 
 
 class TestKfold:
@@ -141,7 +134,7 @@ class TestSynthetic:
         a = make_synthetic(n=100, vocab_size=30, trigger_rule="trigger", seed=4)
         b = make_synthetic(n=100, vocab_size=30, trigger_rule="trigger", seed=4)
         assert a.records == b.records
-        assert a.class_counts().tolist() == [50, 50]
+        assert np.bincount(a.labels()).tolist() == [50, 50]
 
     def test_cooc_rule_holds(self):
         corpus = make_synthetic(n=300, vocab_size=50, trigger_rule="cooc", seed=1)
@@ -164,7 +157,3 @@ class TestSynthetic:
     def test_minimum_size_enforced(self):
         with pytest.raises(DataError):
             make_synthetic(n=5, vocab_size=50)
-
-    def test_majority_rate(self):
-        corpus = make_synthetic(n=100, vocab_size=40, seed=0)
-        assert corpus.majority_rate() == 0.5

@@ -74,14 +74,18 @@ def samemb1_files(draw) -> tuple[bytes, int]:
     return bytes(blob), dim
 
 
+# every training command reads its input through the same path
+COMMANDS = [["train"], ["ablate", "--settings", "SAM"], ["sweep-delta", "--grid", "0:0:1"]]
+
+
 @fuzz
-@given(file=samemb1_files(), width_matches=st.booleans())
-def test_samemb1_reader_ends_with_an_exit_code(file, width_matches):
+@given(file=samemb1_files(), width_matches=st.booleans(), command=st.sampled_from(COMMANDS))
+def test_samemb1_reader_ends_with_an_exit_code(file, width_matches, command):
     blob, dim = file
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "gen.semb"
         path.write_bytes(blob)
-        run(["train", "--emb", f"precomputed:{path}", "--dim", str(dim if width_matches else dim + 1),
+        run([*command, "--emb", f"precomputed:{path}", "--dim", str(dim if width_matches else dim + 1),
              *TRAIN, "--out", str(Path(tmp) / "run")])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqattn.data import make_synthetic
+from seqattn.data import LabeledCorpus, make_synthetic
 from seqattn.errors import ConfigError, NumericError
 from seqattn.sam import SamConfig
 from seqattn.tensor import Tensor
@@ -269,6 +269,19 @@ def trigger_corpus():
     return make_synthetic(n=800, vocab_size=50, trigger_rule="trigger", seed=1)
 
 
+def vector_corpus(n: int) -> LabeledCorpus:
+    """(L_i, 8) float64 records; class 1 carries a strong positive direction
+    in feature 0."""
+    rng = np.random.default_rng(0)
+    seqs = []
+    for i in range(n):
+        label = i % 2
+        vec = rng.normal(size=(int(rng.integers(3, 7)), 8)).astype(np.float32).astype(np.float64)
+        vec[:, 0] += 3.0 * label
+        seqs.append((vec, label))
+    return LabeledCorpus(seqs, num_classes=2)
+
+
 def quick_cfg(**kw):
     defaults = dict(lr=0.05, max_epochs=6, seed=1, folds=2)
     defaults.update(kw)
@@ -323,20 +336,8 @@ class TestTrainRun:
         assert a.mean_metric == b.mean_metric
 
     def test_precomputed_embeddings_path(self):
-        rng = np.random.default_rng(0)
-        # class 1 sequences carry a strong positive direction in feature 0
-        seqs = []
-        for i in range(400):
-            label = i % 2
-            length = int(rng.integers(3, 7))
-            vec = rng.normal(size=(length, 8)).astype(np.float32).astype(np.float64)
-            vec[:, 0] += 3.0 * label
-            seqs.append((vec, label))
-        from seqattn.data import LabeledCorpus
-
-        corpus = LabeledCorpus([("", lbl) for _, lbl in seqs], num_classes=2)
         cfg = SamConfig(d_model=8, max_len=8)
-        result = train_run(corpus, cfg, quick_cfg(lr=0.1, max_epochs=25), emb_seqs=seqs)
+        result = train_run(vector_corpus(400), cfg, quick_cfg(lr=0.1, max_epochs=25))
         assert result.mean_metric >= 0.9
         assert result.model.table is None
 
@@ -373,6 +374,14 @@ class TestDrivers:
         assert [pt.delta for pt in points] == [0.0, 0.5, 1.0]
         for pt in points:
             assert pt.max_gate <= 1.0 - pt.delta + 1e-15
+
+    def test_delta_sweep_on_vectors_keeps_gate_bound(self):
+        cfg = SamConfig(d_model=8, max_len=8)
+        points = delta_sweep(vector_corpus(120), cfg, quick_cfg(max_epochs=1), [0.0, 0.3, 0.9])
+        assert [pt.delta for pt in points] == [0.0, 0.3, 0.9]
+        for pt in points:
+            assert pt.max_gate <= 1.0 - pt.delta
+            assert 0.0 <= pt.metric <= 1.0
 
     def test_sweep_rejects_unsorted_or_out_of_range(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
