@@ -10,6 +10,7 @@ to zero and never updated.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -153,18 +154,24 @@ def store_precomputed(path, seqs: list[tuple[np.ndarray, int]]) -> None:
             fh.write(arr.tobytes())
 
 
-def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
-    """Read a SAMEMB1 file back as (L_i x D float64, label) pairs."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(SAMEMB1_MAGIC)] != SAMEMB1_MAGIC:
+def _scan_precomputed(fh) -> tuple[int, list[tuple[int, int, int]]]:
+    """Check the magic, the header line and the chain of record headers of
+    an open SAMEMB1 file, seeking past every payload without reading it.
+
+    Returns the width D and, per record, the byte offset of its payload, its
+    length L_i and its label. Damage anywhere in the file raises
+    :class:`FormatError` at the byte offset where the file stops matching
+    the layout, whichever record a caller wants.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(SAMEMB1_MAGIC)) != SAMEMB1_MAGIC:
         raise FormatError("bad magic, not a SAMEMB1 file", offset=0)
     offset = len(SAMEMB1_MAGIC)
-    newline = blob.find(b"\n", offset)
-    if newline < 0:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise FormatError("missing header line", offset=offset)
     try:
-        header = json.loads(blob[offset:newline].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError(f"expected a JSON object, got {type(header).__name__}")
         count, dim = header["num_sequences"], header["dim"]
@@ -175,20 +182,47 @@ def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
         raise FormatError(f"unreadable header: {exc}", offset=offset) from None
     if count < 0 or dim < 0:
         raise FormatError(f"negative header field: num_sequences={count}, dim={dim}", offset=offset)
-    offset = newline + 1
+    offset += len(line)
 
-    seqs: list[tuple[np.ndarray, int]] = []
+    records: list[tuple[int, int, int]] = []
     for _ in range(count):
-        if offset + 8 > len(blob):
+        if offset + 8 > size:
             raise FormatError("truncated record header", offset=offset)
-        length, label = struct.unpack_from("<II", blob, offset)
+        fh.seek(offset)
+        length, label = struct.unpack("<II", fh.read(8))
         offset += 8
         nbytes = length * dim * 4
-        if offset + nbytes > len(blob):
+        if offset + nbytes > size:
             raise FormatError("truncated record payload", offset=offset)
-        values = np.frombuffer(blob, dtype="<f4", count=length * dim, offset=offset)
+        records.append((offset, length, label))
         offset += nbytes
-        seqs.append((values.astype(np.float64).reshape(length, dim), int(label)))
-    if offset != len(blob):
+    if offset != size:
         raise FormatError("trailing bytes after final record", offset=offset)
-    return seqs
+    return dim, records
+
+
+def _read_record(fh, dim: int, record: tuple[int, int, int]) -> tuple[np.ndarray, int]:
+    offset, length, label = record
+    fh.seek(offset)
+    values = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
+    return values.astype(np.float64).reshape(length, dim), label
+
+
+def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
+    """Read a SAMEMB1 file back as (L_i x D float64, label) pairs."""
+    with open(path, "rb") as fh:
+        dim, records = _scan_precomputed(fh)
+        return [_read_record(fh, dim, record) for record in records]
+
+
+def load_precomputed_record(path, index: int) -> tuple[np.ndarray, int]:
+    """Decode record ``index`` of a SAMEMB1 file, and no other payload.
+
+    The whole file is checked as :func:`load_precomputed` checks it, so a
+    damaged file fails even when the requested record is intact.
+    """
+    with open(path, "rb") as fh:
+        dim, records = _scan_precomputed(fh)
+        if not 0 <= index < len(records):
+            raise DataError(f"record {index} outside embedding file of {len(records)} records")
+        return _read_record(fh, dim, records[index])

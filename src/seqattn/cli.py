@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbone import load_precomputed, split_text, tokenize
+from .backbone import load_precomputed, load_precomputed_record, split_text, tokenize
 from .data import LabeledCorpus, make_synthetic, parse_tsv
 from .errors import ConfigError, DataError, FormatError, NumericError, SeqattnError
 from .model import Batch, encode_embeddings, load_checkpoint, save_checkpoint
@@ -234,10 +234,10 @@ def _report_dict(result) -> dict:
 def cmd_train(args, parser) -> int:
     corpus, digests = _resolve_inputs(args, parser)
     sam_cfg, train_cfg = _build_configs(args, parser)
+    result = train_run(corpus, sam_cfg, train_cfg, pooling=args.pool)
+    # made only now, so that a rejected corpus leaves no empty directory behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    result = train_run(corpus, sam_cfg, train_cfg, pooling=args.pool)
 
     with open(out_dir / "epochs.jsonl", "w") as fh:
         for record in result.history:
@@ -262,10 +262,9 @@ def cmd_ablate(args, parser) -> int:
         unknown = [s for s in settings if s not in ABLATION_SETTINGS]
         if unknown:
             parser.error(f"unknown setting(s) {unknown}; valid: {list(ABLATION_SETTINGS)}")
+    rows = ablation_suite(corpus, sam_cfg, train_cfg, settings=settings, pooling=args.pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = ablation_suite(corpus, sam_cfg, train_cfg, settings=settings, pooling=args.pool)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting", "metric", "seconds_per_epoch"])
@@ -295,10 +294,9 @@ def cmd_sweep_delta(args, parser) -> int:
     if not (0.0 <= start <= stop <= 1.0):
         parser.error(f"grid range must satisfy 0 <= start <= stop <= 1, got {args.grid!r}")
     deltas = default_delta_grid(start, stop, step)
+    points = delta_sweep(corpus, sam_cfg, train_cfg, deltas, pooling=args.pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    points = delta_sweep(corpus, sam_cfg, train_cfg, deltas, pooling=args.pool)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "metric"])
@@ -336,10 +334,7 @@ def cmd_heatmap(args, parser) -> int:
     else:
         if not args.data:
             parser.error("this checkpoint consumes precomputed embeddings; pass --data SAMEMB1_FILE")
-        seqs = load_precomputed(args.data)
-        if not 0 <= args.index < len(seqs):
-            raise DataError(f"--index {args.index} outside embedding file of {len(seqs)} records")
-        vectors, _ = seqs[args.index]
+        vectors, _ = load_precomputed_record(args.data, args.index)
         if vectors.shape[1] != model.cfg.d_model:
             raise FormatError(
                 f"embedding width {vectors.shape[1]} does not match the checkpoint's {model.cfg.d_model}"

@@ -7,6 +7,7 @@ parameter arrays plus one JSON metadata entry).
 from __future__ import annotations
 
 import json
+import operator
 import zipfile
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from .backbone import EmbeddingTable, Vocab, embed, tokenize
 from .data import LabeledCorpus
 from .errors import FormatError, SeqattnError
 from .head import HeadParams, cross_entropy, init_head, pool_sequence
-from .sam import SamConfig, SamParams, SamTrace, init_sam_params, sam_forward
+from .sam import FfnParams, SamConfig, SamParams, SamTrace, ffn_hidden, init_sam_params, sam_forward
 from .tensor import Mask, Tensor
 
 
@@ -159,7 +160,53 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
+def parameter_shapes(
+    cfg: SamConfig, num_classes: int, vocab_size: int | None = None
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter :func:`init_model` builds, in
+    :meth:`Model.parameters` order. Sizes must be integers, as numpy
+    requires of an array shape; anything else raises TypeError."""
+    d_model, max_len, ratio, num_classes = (
+        operator.index(v) for v in (cfg.d_model, cfg.max_len, cfg.bottleneck_ratio, num_classes)
+    )
+    shapes = {} if vocab_size is None else {"embed.table": (vocab_size, d_model)}
+    for prefix, d_in in (("ffn_f", d_model), ("ffn_t", max_len)):
+        hidden = ffn_hidden(d_in, ratio)
+        shapes.update({f"{prefix}.w1": (d_in, hidden), f"{prefix}.b1": (hidden,),
+                       f"{prefix}.w2": (hidden, d_in), f"{prefix}.b2": (d_in,)})
+    shapes.update({"head.w": (d_model, num_classes), "head.b": (num_classes,)})
+    return shapes
+
+
+def _checked_leaves(
+    arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
+) -> dict[str, Tensor]:
+    """The stored arrays as float64 leaves, once their names, shapes and
+    dtypes match the model the metadata describes."""
+    if set(shapes) != set(arrays):
+        raise FormatError(
+            f"checkpoint parameters {sorted(arrays)} do not match the configured model {sorted(shapes)}"
+        )
+    for name, shape in shapes.items():
+        arr = arrays[name]
+        if arr.shape != shape or arr.dtype.kind not in "biuf":
+            raise FormatError(
+                f"checkpoint parameter '{name}' holds {arr.dtype} of shape {arr.shape}, "
+                f"expected float64 of shape {shape}"
+            )
+    return {
+        name: Tensor(np.ascontiguousarray(arr, dtype=np.float64), requires_grad=True)
+        for name, arr in arrays.items()
+    }
+
+
 def load_checkpoint(path) -> Model:
+    """Rebuild the model a checkpoint holds, straight from its arrays.
+
+    The metadata fixes every parameter's name and shape. The stored arrays
+    are checked against them and become the model's leaves as they are: no
+    random initialisation is drawn and no float64 array is copied.
+    """
     try:
         archive = np.load(path)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -177,21 +224,21 @@ def load_checkpoint(path) -> Model:
     try:
         cfg = SamConfig(**meta["sam"])
         vocab = Vocab(meta["vocab"]) if meta["vocab"] is not None else None
-        rng = np.random.default_rng(0)
-        model = init_model(cfg, meta["num_classes"], meta["pooling"], rng, vocab=vocab)
+        shapes = parameter_shapes(cfg, meta["num_classes"], None if vocab is None else len(vocab))
+        leaves = _checked_leaves(arrays, shapes)
+        ffns = {
+            prefix: FfnParams(**{k: leaves[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")})
+            for prefix in ("ffn_f", "ffn_t")
+        }
+        return Model(
+            cfg=cfg,
+            sam=SamParams(**ffns),
+            head=HeadParams(w=leaves["head.w"], b=leaves["head.b"], pooling=meta["pooling"]),
+            table=None if vocab is None else EmbeddingTable(leaves["embed.table"]),
+            vocab=vocab,
+        )
+    except FormatError:  # from the array checks, which name the parameter at fault
+        raise
     except (KeyError, TypeError, ValueError, SeqattnError) as exc:
         raise FormatError(f"checkpoint metadata does not describe a model: {exc!r}") from None
-    expected = set(model.parameters())
-    if expected != set(arrays):
-        raise FormatError(
-            f"checkpoint parameters {sorted(arrays)} do not match the configured model {sorted(expected)}"
-        )
-    for name, p in model.parameters().items():
-        arr = arrays[name]
-        if arr.shape != p.data.shape or arr.dtype.kind not in "biuf":
-            raise FormatError(
-                f"checkpoint parameter '{name}' holds {arr.dtype} of shape {arr.shape}, "
-                f"expected float64 of shape {p.data.shape}"
-            )
-        p.data[...] = arr
-    return model
+

@@ -57,8 +57,12 @@ def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(n_in, n_out)), requires_grad=True)
 
 
+def ffn_hidden(d_in: int, bottleneck_ratio: int) -> int:
+    return max(1, d_in // bottleneck_ratio)
+
+
 def init_ffn(d_in: int, bottleneck_ratio: int, rng: np.random.Generator) -> FfnParams:
-    hidden = max(1, d_in // bottleneck_ratio)
+    hidden = ffn_hidden(d_in, bottleneck_ratio)
     return FfnParams(
         w1=glorot_uniform(rng, d_in, hidden),
         b1=Tensor(np.zeros(hidden), requires_grad=True),

@@ -87,7 +87,11 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        # np.zeros takes zeroed memory from calloc, so the pages of a large
+        # buffer are only written once a backward pass touches them (a
+        # loaded model that only runs forward never does); zeros_like
+        # writes every byte up front
+        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._rows: list[np.ndarray] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None

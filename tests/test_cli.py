@@ -2,13 +2,15 @@ import csv
 import json
 import os
 import platform
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from seqattn.backbone import store_precomputed
+from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
 from seqattn.cli import main
+from seqattn.errors import FormatError
 
 
 def run_cli(*argv):
@@ -186,6 +188,7 @@ class TestPrecomputedPath:
             inputs = ("--emb", f"precomputed:{data}", "--dim", "6")
         assert run_cli(*command, *inputs, "--epochs", "1", "--out", str(tmp_path / "x")) == 3
         assert "2 distinct labels" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # a rejected corpus leaves no empty --out behind
 
     @pytest.mark.parametrize(
         "header", [b"[1, 2]", b'{"num_sequences": 2, "dim": -128}'], ids=["list", "negative-dim"]
@@ -383,6 +386,90 @@ class TestHeatmapCommand:
             np.savez(bad, **arrays)
         code = run_cli("heatmap", "--checkpoint", str(bad), "--text", "x", "--out", str(tmp_path / "h"))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def samemb1_run(tmp_path_factory):
+    """A checkpoint trained on a 12-record SAMEMB1 file of width 6."""
+    root = tmp_path_factory.mktemp("samemb1-run")
+    data = write_vectors(root / "vectors.semb", n=12)
+    code = run_cli("train", "--emb", f"precomputed:{data}", "--dim", "6", "--max-len", "4",
+                   "--epochs", "1", "--folds", "2", "--seed", "0", "--out", str(root / "run"))
+    assert code == 0
+    return root / "run" / "checkpoint.npz", data
+
+
+def samemb1_heatmap(checkpoint, data, index, prefix) -> int:
+    return run_cli("heatmap", "--checkpoint", str(checkpoint), "--data", str(data),
+                   "--index", str(index), "--out", str(prefix))
+
+
+def damaged_samemb1(data, damage: str) -> bytes:
+    """The 12-record file with one kind of damage; record 1 stays intact."""
+    blob = data.read_bytes()
+    header_end = blob.index(b"\n", 8) + 1
+    starts, offset = [], header_end  # byte offset of each record header
+    while offset < len(blob):
+        starts.append(offset)
+        length = struct.unpack_from("<II", blob, offset)[0]
+        offset += 8 + length * 6 * 4
+    if damage == "magic":
+        return b"SAMEMB2" + blob[7:]
+    if damage == "header-cut":
+        return blob[: header_end - 5]
+    if damage == "negative-field":
+        return blob[:8] + b'{"num_sequences": 12, "dim": -6}' + blob[header_end - 1:]
+    if damage == "record-header-cut":
+        return blob[: starts[5] + 3]
+    if damage == "payload-cut":
+        return blob[:-4]
+    if damage == "trailing":
+        return blob + b"\0\0"
+    # "later-record": record 7 claims more vectors than the file holds
+    return blob[: starts[7]] + struct.pack("<II", 999, 0) + blob[starts[7] + 8:]
+
+
+class TestHeatmapOnSamemb1:
+    @pytest.mark.parametrize("index", [0, 5, 11], ids=["first", "middle", "last"])
+    def test_record_matches_the_full_reader(self, samemb1_run, tmp_path, index):
+        checkpoint, data = samemb1_run
+        assert samemb1_heatmap(checkpoint, data, index, tmp_path / "picked") == 0
+        # the same record, alone in a file of its own
+        store_precomputed(tmp_path / "single.semb", [load_precomputed(data)[index]])
+        assert samemb1_heatmap(checkpoint, tmp_path / "single.semb", 0, tmp_path / "alone") == 0
+        for ext in ("json", "svg"):
+            assert (tmp_path / f"picked.{ext}").read_bytes() == (tmp_path / f"alone.{ext}").read_bytes()
+        vectors, label = load_precomputed_record(data, index)
+        expected_vectors, expected_label = load_precomputed(data)[index]
+        assert label == expected_label and vectors.dtype == np.float64
+        assert vectors.tobytes() == expected_vectors.tobytes()
+
+    @pytest.mark.parametrize("index", [12, -1], ids=["count", "negative"])
+    def test_index_outside_the_file_is_data_error(self, samemb1_run, tmp_path, capsys, index):
+        checkpoint, data = samemb1_run
+        assert samemb1_heatmap(checkpoint, data, index, tmp_path / "h") == 3
+        assert "of 12 records" in capsys.readouterr().err
+
+    def test_width_mismatch_is_format_error(self, samemb1_run, tmp_path, capsys):
+        checkpoint, _ = samemb1_run
+        narrow = write_vectors(tmp_path / "narrow.semb", n=3, dim=4)
+        assert samemb1_heatmap(checkpoint, narrow, 0, tmp_path / "h") == 3
+        assert "embedding width 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["magic", "header-cut", "negative-field", "record-header-cut", "payload-cut", "trailing",
+         "later-record"],
+    )
+    def test_damaged_file_fails_at_the_full_readers_offset(self, samemb1_run, tmp_path, capsys, damage):
+        checkpoint, data = samemb1_run
+        bad = tmp_path / "bad.semb"
+        bad.write_bytes(damaged_samemb1(data, damage))
+        with pytest.raises(FormatError) as full:
+            load_precomputed(bad)
+        assert samemb1_heatmap(checkpoint, bad, 1, tmp_path / "h") == 3
+        assert f"(byte offset {full.value.offset})" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
 
 
 def test_version_flag_exits_cleanly():

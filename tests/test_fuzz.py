@@ -181,3 +181,37 @@ def _write(factory, blob: bytes) -> Path:
     path = factory.getbasetemp() / "fuzz-source.npz"
     path.write_bytes(blob)
     return path
+
+
+# -- heatmap on SAMEMB1 ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def precomputed_checkpoints(tmp_path_factory) -> dict[int, Path]:
+    """A checkpoint trained on SAMEMB1 vectors for every width the files draw."""
+    root = tmp_path_factory.mktemp("fuzz-precomputed")
+    rng = np.random.default_rng(3)
+    paths = {}
+    for dim in range(1, 5):
+        blob = b"SAMEMB1\n" + json.dumps({"num_sequences": 20, "dim": dim}).encode() + b"\n"
+        for i in range(20):
+            blob += struct.pack("<II", 3, i % 2) + rng.normal(size=3 * dim).astype("<f4").tobytes()
+        data = root / f"train{dim}.semb"
+        data.write_bytes(blob)
+        out = root / f"run{dim}"
+        assert main(["train", "--emb", f"precomputed:{data}", "--dim", str(dim), *TRAIN,
+                     "--out", str(out)]) == 0
+        paths[dim] = out / "checkpoint.npz"
+    return paths
+
+
+@fuzz
+@given(file=samemb1_files(), width_matches=st.booleans(), index=st.integers(-1, 13))
+def test_heatmap_on_samemb1_ends_with_an_exit_code(precomputed_checkpoints, file, width_matches, index):
+    blob, dim = file
+    checkpoint = precomputed_checkpoints[dim if width_matches else dim % 4 + 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gen.semb"
+        path.write_bytes(blob)
+        run(["heatmap", "--checkpoint", str(checkpoint), "--data", str(path), "--index", str(index),
+             "--out", str(Path(tmp) / "heat")])

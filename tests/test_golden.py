@@ -76,3 +76,37 @@ def test_training_history_digest(tmp_path, inputs, expected):
                  "--lr", "0.05", "--seed", "7", "--out", str(out)])
     assert code == 0
     assert history_digest(out / "epochs.jsonl") == expected
+
+
+# Heatmap outputs of fixed-seed checkpoints, recorded before the checkpoint
+# and SAMEMB1 loaders were rewritten to build the model from the saved arrays
+# and to decode only the requested record: both must stay byte-identical.
+HEATMAP_DIGESTS = {
+    "table": ("2b2b20e45986e35ac18579b51eb85a981dba9a46c1ef1b6797d7686db6b54ba5",
+              "e599f70096b320b6ba915d008a1ce685e81772b69b5012a17b5461b6e9ad89a8"),
+    "precomputed": ("7b8cc44871ad5a78288afdace0fa3026688dccf7937e942fb1d74520d8bf68c8",
+                    "16b33c0517b61c7c70adf3dcdc6875b68bd1e77185b56ed3598670b87a7068fe"),
+}
+
+
+def heatmap_table(tmp_path) -> tuple[list[str], list[str]]:
+    return train_table(tmp_path), ["--text", "tok3 tok11 tok3 tok0 tok17 unseen tok25 tok2"]
+
+
+def heatmap_precomputed(tmp_path) -> tuple[list[str], list[str]]:
+    inputs = train_precomputed(tmp_path)
+    return inputs, ["--data", str(tmp_path / "golden.semb"), "--index", "37"]
+
+
+@pytest.mark.parametrize("case", [heatmap_table, heatmap_precomputed], ids=["table", "precomputed"])
+def test_heatmap_output_digest(tmp_path, case):
+    train_inputs, heatmap_inputs = case(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", *train_inputs, "--epochs", "2", "--folds", "2", "--batch", "16",
+                 "--lr", "0.05", "--seed", "7", "--out", str(out)]) == 0
+    prefix = tmp_path / "heat"
+    assert main(["heatmap", "--checkpoint", str(out / "checkpoint.npz"), *heatmap_inputs,
+                 "--out", str(prefix)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"heat.{ext}").read_bytes()).hexdigest()
+                    for ext in ("json", "svg"))
+    assert digests == HEATMAP_DIGESTS[case.__name__.removeprefix("heatmap_")]
