@@ -42,13 +42,9 @@ class Vocab:
             raise DataError("duplicate token in vocabulary")
 
     @classmethod
-    def build(cls, texts, min_freq: int = 1) -> "Vocab":
-        counts: dict[str, int] = {}
-        for text in texts:
-            for tok in split_text(text):
-                counts[tok] = counts.get(tok, 0) + 1
-        # first-appearance order keeps ids deterministic
-        return cls([tok for tok, c in counts.items() if c >= min_freq])
+    def build(cls, texts) -> "Vocab":
+        # every token seen, in first-appearance order, which keeps ids deterministic
+        return cls(list(dict.fromkeys(tok for text in texts for tok in split_text(text))))
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -16,15 +16,16 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backbone import load_precomputed, load_precomputed_record, split_text, tokenize
+from .backbone import load_precomputed, load_precomputed_record, split_text
 from .data import LabeledCorpus, make_synthetic, parse_tsv
 from .errors import ConfigError, DataError, FormatError, NumericError, SeqattnError
-from .model import Batch, encode_embeddings, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .sam import Order, SamConfig
 from .svg import line_chart, token_heatmap
 from .tensor import no_grad
@@ -34,6 +35,8 @@ from .train import (
     ablation_suite,
     default_delta_grid,
     delta_sweep,
+    encode,
+    metric_name_for,
     train_run,
 )
 
@@ -120,13 +123,11 @@ def _resolve_inputs(args, parser) -> tuple[LabeledCorpus, dict[str, str]]:
             parser.error("--emb precomputed:PATH carries its own labels; drop --data/--synthetic")
         path = args.emb.split(":", 1)[1]
         digests[path] = _sha256(path)
-        mapping: dict[str, int] = {}
-        records = [(vectors, mapping.setdefault(str(label), len(mapping)))
-                   for vectors, label in load_precomputed(path)]
-        if records and records[0][0].shape[1] != args.dim:
+        corpus = LabeledCorpus.from_pairs(load_precomputed(path))
+        if corpus.records and corpus.records[0][0].shape[1] != args.dim:
             parser.error(f"--dim {args.dim} does not match the embedding file width "
-                         f"{records[0][0].shape[1]}")
-        return LabeledCorpus(records, num_classes=len(mapping), label_mapping=mapping), digests
+                         f"{corpus.records[0][0].shape[1]}")
+        return corpus, digests
     if args.emb != "table":
         parser.error(f"--emb must be 'table' or 'precomputed:PATH', got {args.emb!r}")
     if bool(args.data) == bool(args.synthetic):
@@ -148,13 +149,10 @@ def _sha256(path) -> str:
 def _build_configs(args, parser) -> tuple[SamConfig, TrainConfig]:
     if args.no_fam and args.delta is not None:
         parser.error("--delta configures the feature-wise filter; it conflicts with --no-fam")
-    delta = 0.0 if args.delta is None else args.delta
-    if not 0.0 <= delta <= 1.0:
-        parser.error(f"delta must lie in [0, 1], got {delta}")
     sam_cfg = SamConfig(
         d_model=args.dim,
         max_len=args.max_len,
-        delta=delta,
+        delta=0.0 if args.delta is None else args.delta,
         bottleneck_ratio=args.bottleneck_ratio,
         order=Order(args.order),
         fam_enabled=not args.no_fam,
@@ -207,22 +205,11 @@ def _write_manifest(out_dir: Path, command: str, args, digests: dict, artifacts:
 def _report_dict(result) -> dict:
     folds = []
     for fo in result.fold_outcomes:
-        if fo.diverged:
-            folds.append({"fold": fo.fold, "diverged": True})
-            continue
-        folds.append(
-            {
-                "fold": fo.fold,
-                "diverged": False,
-                "best_epoch": fo.best_epoch,
-                "accuracy": fo.report.accuracy,
-                "macro_f1": fo.report.macro_f1,
-                "binary_f1": fo.report.binary_f1,
-                "per_class": fo.report.per_class,
-                "confusion": fo.report.confusion.tolist(),
-                "n": fo.report.n,
-            }
-        )
+        fold = {"fold": fo.fold, "diverged": fo.diverged}
+        if not fo.diverged:
+            fold.update(asdict(fo.report), best_epoch=fo.best_epoch,
+                        confusion=fo.report.confusion.tolist())
+        folds.append(fold)
     return {
         "metric_name": result.metric_name,
         "mean_metric": result.mean_metric,
@@ -256,27 +243,24 @@ def cmd_train(args, parser) -> int:
 def cmd_ablate(args, parser) -> int:
     corpus, digests = _resolve_inputs(args, parser)
     sam_cfg, train_cfg = _build_configs(args, parser)
-    settings = None
-    if args.settings:
-        settings = [s.strip() for s in args.settings.split(",") if s.strip()]
-        unknown = [s for s in settings if s not in ABLATION_SETTINGS]
-        if unknown:
-            parser.error(f"unknown setting(s) {unknown}; valid: {list(ABLATION_SETTINGS)}")
+    settings = [s.strip() for s in args.settings.split(",") if s.strip()] if args.settings else None
     rows = ablation_suite(corpus, sam_cfg, train_cfg, settings=settings, pooling=args.pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting", "metric", "seconds_per_epoch"])
-        for row in rows:
-            if row.diverged:
-                writer.writerow([row.setting, "diverged", ""])
+        for setting, result in rows:
+            if result is None:
+                writer.writerow([setting, "diverged", ""])
             else:
-                writer.writerow([row.setting, f"{row.metric:.6f}", f"{row.seconds_per_epoch:.4f}"])
+                writer.writerow([setting, f"{result.mean_metric:.6f}",
+                                 f"{result.seconds_per_epoch:.4f}"])
     _write_manifest(out_dir, "ablate", args, digests, ["ablation.csv"])
-    for row in rows:
-        shown = "diverged" if row.diverged else f"{row.metric:.4f}"
-        print(f"{row.setting}: {row.metric_name}={shown}")
+    metric = metric_name_for(corpus.num_classes)
+    for setting, result in rows:
+        shown = "diverged" if result is None else f"{result.mean_metric:.4f}"
+        print(f"{setting}: {metric}={shown}")
     return 0
 
 
@@ -289,12 +273,8 @@ def cmd_sweep_delta(args, parser) -> int:
         start, stop, step = (float(v) for v in args.grid.split(":"))
     except ValueError:
         parser.error(f"bad --grid {args.grid!r}: expected start:stop:step")
-    if step <= 0:
-        parser.error(f"grid step must be positive, got {step}")
-    if not (0.0 <= start <= stop <= 1.0):
-        parser.error(f"grid range must satisfy 0 <= start <= stop <= 1, got {args.grid!r}")
-    deltas = default_delta_grid(start, stop, step)
-    points = delta_sweep(corpus, sam_cfg, train_cfg, deltas, pooling=args.pool)
+    points = delta_sweep(corpus, sam_cfg, train_cfg, default_delta_grid(start, stop, step),
+                         pooling=args.pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -303,7 +283,7 @@ def cmd_sweep_delta(args, parser) -> int:
         for pt in points:
             writer.writerow([f"{pt.delta:.10g}", f"{pt.metric:.6f}"])
     chart = line_chart(
-        {"metric": [(pt.delta, pt.metric) for pt in points]},
+        ("metric", [(pt.delta, pt.metric) for pt in points]),
         title="threshold sweep",
         x_label="delta",
         y_label="dev metric",
@@ -322,25 +302,27 @@ def cmd_heatmap(args, parser) -> int:
 
     if model.vocab is not None:
         if args.text:
-            text = args.text
+            record = args.text
         else:
             corpus = parse_tsv(args.data)
             if not 0 <= args.index < len(corpus):
                 raise DataError(f"--index {args.index} outside corpus of {len(corpus)} records")
-            text = corpus.records[args.index][0]
-        tokens = split_text(text)[: model.cfg.max_len] or ["<unk>"]
-        ids, mask_row = tokenize(text, model.vocab, model.cfg.max_len)
-        batch = Batch(mask=mask_row[None, :], labels=np.zeros(1, dtype=np.int64), ids=ids[None, :])
+            record = corpus.records[args.index][0]
     else:
         if not args.data:
             parser.error("this checkpoint consumes precomputed embeddings; pass --data SAMEMB1_FILE")
-        vectors, _ = load_precomputed_record(args.data, args.index)
-        if vectors.shape[1] != model.cfg.d_model:
+        record, _ = load_precomputed_record(args.data, args.index)
+        if record.shape[1] != model.cfg.d_model:
             raise FormatError(
-                f"embedding width {vectors.shape[1]} does not match the checkpoint's {model.cfg.d_model}"
+                f"embedding width {record.shape[1]} does not match the checkpoint's {model.cfg.d_model}"
             )
-        batch = encode_embeddings([(vectors, 0)], model.cfg.max_len)
-        tokens = [f"t{i}" for i in range(int(batch.mask[0].sum()))]
+    batch = encode(LabeledCorpus.from_pairs([(record, 0)]), model.vocab, model.cfg.max_len)
+    # one label per position the encoder kept: an empty text is one <unk>
+    length = int(batch.mask[0].sum())
+    if model.vocab is not None:
+        tokens = split_text(record)[:length] or ["<unk>"]
+    else:
+        tokens = [f"t{i}" for i in range(length)]
 
     with no_grad():
         _, trace = model.forward(batch)

@@ -37,6 +37,14 @@ class LabeledCorpus:
     def labels(self) -> np.ndarray:
         return np.array([l for _, l in self.records], dtype=np.int64)
 
+    @classmethod
+    def from_pairs(cls, pairs) -> "LabeledCorpus":
+        """Densify ``(input, raw label)`` pairs: labels become 0..K-1 in order
+        of first appearance, and the mapping is keyed by ``str(label)``."""
+        mapping: dict[str, int] = {}
+        records = [(x, mapping.setdefault(str(label), len(mapping))) for x, label in pairs]
+        return cls(records, num_classes=len(mapping), label_mapping=mapping)
+
     def subset(self, indices) -> "LabeledCorpus":
         return LabeledCorpus(
             records=[self.records[i] for i in indices],
@@ -53,8 +61,7 @@ def parse_tsv(path) -> LabeledCorpus:
         raw = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc.reason}", offset=exc.start) from None
-    records: list[tuple[str, int]] = []
-    mapping: dict[str, int] = {}
+    pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -66,12 +73,10 @@ def parse_tsv(path) -> LabeledCorpus:
             int(raw_label)
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer label {raw_label!r}") from None
-        if raw_label not in mapping:
-            mapping[raw_label] = len(mapping)
-        records.append((text, mapping[raw_label]))
-    if not records:
+        pairs.append((text, raw_label))
+    if not pairs:
         raise FormatError("no records found in TSV file")
-    return LabeledCorpus(records=records, num_classes=len(mapping), label_mapping=mapping)
+    return LabeledCorpus.from_pairs(pairs)
 
 
 def serialize_tsv(corpus: LabeledCorpus, path) -> None:
@@ -117,8 +122,6 @@ def make_synthetic(
     vocab_size: int,
     trigger_rule: str = "trigger",
     seed: int = 0,
-    min_len: int = 5,
-    max_len: int = 12,
 ) -> LabeledCorpus:
     """Random token-sequence corpus with a planted classification rule.
 
@@ -144,7 +147,7 @@ def make_synthetic(
     half = n // 2
     for i in range(n):
         positive = i < half
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(5, 12 + 1))  # 5 to 12 tokens
         toks = sample_tokens(length)
         if trigger_rule == "trigger":
             if positive:

@@ -15,7 +15,7 @@ plain configuration changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -122,8 +122,8 @@ class SamTrace:
     feature gate, the raw validity flags for the token weights.
     """
 
-    fam_map: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    tam_map: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    fam_map: np.ndarray
+    tam_map: np.ndarray
 
 
 def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:

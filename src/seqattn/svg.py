@@ -10,17 +10,19 @@ from xml.sax.saxutils import escape
 
 
 def line_chart(
-    series: dict[str, list[tuple[float, float]]],
+    series: tuple[str, list[tuple[float, float]]],
     title: str,
     x_label: str,
     y_label: str,
     width: int = 640,
     height: int = 400,
 ) -> str:
-    """One polyline per named series, with axes and min/max tick labels."""
+    """One named series of ``(x, y)`` points as a polyline, with axes,
+    min/max tick labels and the name as a legend."""
     pad = 56
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
+    name, points = series
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -34,7 +36,6 @@ def line_chart(
     def sy(y: float) -> float:
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
-    colors = ["#1f6feb", "#d1242f", "#1a7f37", "#9a6700"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -50,14 +51,12 @@ def line_chart(
         f'<text x="{pad - 6}" y="{height - pad}" font-size="10" text-anchor="end">{y_lo:.4g}</text>',
         f'<text x="{pad - 6}" y="{pad + 4}" font-size="10" text-anchor="end">{y_hi:.4g}</text>',
     ]
-    for i, (name, pts) in enumerate(series.items()):
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>')
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 14 * i}" font-size="11" '
-            f'text-anchor="end" fill="{color}">{escape(name)}</text>'
-        )
+    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+    parts.append(f'<polyline fill="none" stroke="#1f6feb" stroke-width="2" points="{coords}"/>')
+    parts.append(
+        f'<text x="{width - pad}" y="{pad}" font-size="11" '
+        f'text-anchor="end" fill="#1f6feb">{escape(name)}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts)
 

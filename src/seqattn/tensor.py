@@ -129,9 +129,6 @@ class Tensor:
             self.grad += g
             self._rows = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod

@@ -58,7 +58,6 @@ class EvalReport:
     per_class: list[dict]
     confusion: np.ndarray
     n: int
-    seconds_per_epoch: float | None = None
 
 
 @dataclass
@@ -204,10 +203,6 @@ def metric_name_for(num_classes: int) -> str:
     return "binary_f1" if num_classes == 2 else "accuracy"
 
 
-def metric_of(report: EvalReport, name: str) -> float:
-    return getattr(report, name)
-
-
 @dataclass
 class FoldOutcome:
     fold: int
@@ -225,10 +220,6 @@ class TrainResult:
     history: list[dict]
     seconds_per_epoch: float
 
-    @property
-    def reports(self) -> list[EvalReport | None]:
-        return [fo.report for fo in self.fold_outcomes]
-
 
 def _train_single(
     model: Model,
@@ -243,8 +234,9 @@ def _train_single(
     state = init_adam_state(params)
     slow = {name: p.data.copy() for name, p in params.items()}
     history: list[dict] = []
+    # the first epoch always replaces these: its dev metric is finite
     best_value = -np.inf
-    best_state: dict[str, np.ndarray] = model.state_arrays()
+    best_state: dict[str, np.ndarray] | None = None
     best_report: EvalReport | None = None
     best_epoch = 0
     step_count = 0
@@ -270,7 +262,7 @@ def _train_single(
         epoch_seconds.append(seconds)
 
         report = evaluate(model, dev_batch)
-        value = metric_of(report, metric)
+        value = getattr(report, metric)
         history.append(
             {"fold": fold, "epoch": epoch, "split": "train", "metric": "loss",
              "value": total_loss / n, "seconds": seconds}
@@ -278,7 +270,7 @@ def _train_single(
         for name in ("accuracy", "macro_f1", "binary_f1"):
             history.append(
                 {"fold": fold, "epoch": epoch, "split": "dev", "metric": name,
-                 "value": metric_of(report, name), "seconds": seconds}
+                 "value": getattr(report, name), "seconds": seconds}
             )
         if value > best_value:
             best_value = value
@@ -286,11 +278,10 @@ def _train_single(
             best_report = report
             best_epoch = epoch
 
-    best_report.seconds_per_epoch = float(np.mean(epoch_seconds))
-    return best_state, best_report, best_epoch, history, best_report.seconds_per_epoch
+    return best_state, best_report, best_epoch, history, float(np.mean(epoch_seconds))
 
 
-def _encode(corpus: LabeledCorpus, vocab: Vocab | None, max_len: int) -> Batch:
+def encode(corpus: LabeledCorpus, vocab: Vocab | None, max_len: int) -> Batch:
     """The model input of a corpus: token ids through ``vocab`` for texts,
     padded vectors for ``(L_i, D)`` arrays (no vocabulary)."""
     if vocab is not None:
@@ -333,8 +324,8 @@ def train_run(
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
         vocab = Vocab.build(train_set.texts()) if texts else None
         model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
-        train_batch = _encode(train_set, vocab, sam_cfg.max_len)
-        dev_batch = _encode(dev_set, vocab, sam_cfg.max_len)
+        train_batch = encode(train_set, vocab, sam_cfg.max_len)
+        dev_batch = encode(dev_set, vocab, sam_cfg.max_len)
         try:
             best_state, report, best_epoch, fold_history, spe = _train_single(
                 model, train_batch, dev_batch, train_cfg, fold, rng, metric
@@ -346,14 +337,14 @@ def train_run(
         history.extend(fold_history)
         outcomes.append(FoldOutcome(fold=fold, report=report, best_epoch=best_epoch))
         seconds.append(spe)
-        if metric_of(report, metric) > best_fold_value:
-            best_fold_value = metric_of(report, metric)
+        if getattr(report, metric) > best_fold_value:
+            best_fold_value = getattr(report, metric)
             best_model = model
 
     completed = [fo for fo in outcomes if not fo.diverged]
     if not completed:
         raise NumericError("every fold diverged")
-    mean_metric = float(np.mean([metric_of(fo.report, metric) for fo in completed]))
+    mean_metric = float(np.mean([getattr(fo.report, metric) for fo in completed]))
     return TrainResult(
         model=best_model,
         metric_name=metric,
@@ -375,47 +366,29 @@ ABLATION_SETTINGS: dict[str, dict] = {
 }
 
 
-@dataclass
-class AblationRow:
-    setting: str
-    metric_name: str
-    metric: float | None
-    seconds_per_epoch: float | None
-    result: TrainResult | None
-    diverged: bool = False
-
-
 def ablation_suite(
     corpus: LabeledCorpus,
     base_cfg: SamConfig,
     train_cfg: TrainConfig,
     settings: list[str] | None = None,
     pooling: str = "mean",
-) -> list[AblationRow]:
-    """One trained row per setting, identical seeds throughout."""
+) -> list[tuple[str, TrainResult | None]]:
+    """One ``(setting, result)`` row per setting, identical seeds throughout;
+    the result is None where every fold diverged."""
     names = list(ABLATION_SETTINGS) if settings is None else list(settings)
     unknown = [s for s in names if s not in ABLATION_SETTINGS]
+    valid = f"valid settings: {list(ABLATION_SETTINGS)}"
     if unknown:
-        raise ConfigError(
-            f"unknown setting(s) {unknown}; valid settings: {list(ABLATION_SETTINGS)}"
-        )
-    rows: list[AblationRow] = []
+        raise ConfigError(f"unknown setting(s) {unknown}; {valid}")
+    if not names:
+        raise ConfigError(f"no ablation setting given; {valid}")
+    rows: list[tuple[str, TrainResult | None]] = []
     for name in names:
         cfg = replace(base_cfg, **ABLATION_SETTINGS[name])
         try:
-            result = train_run(corpus, cfg, train_cfg, pooling=pooling)
+            rows.append((name, train_run(corpus, cfg, train_cfg, pooling=pooling)))
         except NumericError:
-            rows.append(AblationRow(name, metric_name_for(corpus.num_classes), None, None, None, True))
-            continue
-        rows.append(
-            AblationRow(
-                setting=name,
-                metric_name=result.metric_name,
-                metric=result.mean_metric,
-                seconds_per_epoch=result.seconds_per_epoch,
-                result=result,
-            )
-        )
+            rows.append((name, None))
     return rows
 
 
@@ -427,8 +400,10 @@ class SweepPoint:
 
 
 def default_delta_grid(start: float = 0.0, stop: float = 0.8, step: float = 0.05) -> list[float]:
-    if step <= 0:
+    if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step}")
+    if not 0.0 <= start <= stop <= 1.0:
+        raise ConfigError(f"grid range must satisfy 0 <= start <= stop <= 1, got {start}:{stop}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
@@ -451,7 +426,7 @@ def delta_sweep(
         cfg = replace(base_cfg, delta=float(delta))
         result = train_run(corpus, cfg, train_cfg, pooling=pooling)
         probe = corpus.subset(range(min(len(corpus), 64)))
-        batch = _encode(probe, result.model.vocab, cfg.max_len)
+        batch = encode(probe, result.model.vocab, cfg.max_len)
         with no_grad():
             _, trace = result.model.forward(batch)
         points.append(

@@ -283,6 +283,25 @@ class TestSweepCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, rule",
+    [(["train", "--delta", "1.2"], "delta must lie in [0, 1]"),
+     (["ablate", "--settings", "SAM,bogus"], "unknown setting(s) ['bogus']"),
+     (["ablate", "--settings", ","], "no ablation setting given"),
+     (["sweep-delta", "--grid", "0:0.8:0"], "grid step must be positive"),
+     (["sweep-delta", "--grid", "0:0.8:nan"], "grid step must be positive"),
+     (["sweep-delta", "--grid", "0.5:0.2:0.1"], "0 <= start <= stop <= 1"),
+     (["sweep-delta", "--grid", "0.5:1.2:0.1"], "0 <= start <= stop <= 1")],
+    ids=["delta", "unknown-setting", "no-setting", "zero-step", "nan-step", "reversed-grid",
+         "grid-above-one"],
+)
+def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--synthetic", "trigger:100:30", "--out", str(out)) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestHeatmapCommand:
     def test_single_token_input(self, trained_dir, tmp_path):
         prefix = tmp_path / "heat"

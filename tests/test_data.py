@@ -64,6 +64,21 @@ class TestParseTsv:
         assert again.num_classes == corpus.num_classes
 
 
+class TestFromPairs:
+    def test_first_appearance_order(self):
+        vectors = np.zeros((2, 3))
+        corpus = LabeledCorpus.from_pairs([("a", 5), (vectors, 2), ("c", 5), ("d", 9), ("e", 2)])
+        assert corpus.label_mapping == {"5": 0, "2": 1, "9": 2}
+        assert [l for _, l in corpus.records] == [0, 1, 0, 2, 1]
+        assert corpus.num_classes == 3
+        assert corpus.records[1][0] is vectors
+
+    def test_labels_keyed_by_their_text(self):
+        corpus = LabeledCorpus.from_pairs([("a", 1), ("b", "1"), ("c", 0)])
+        assert corpus.label_mapping == {"1": 0, "0": 1}
+        assert [l for _, l in corpus.records] == [0, 0, 1]
+
+
 class TestKfold:
     def _balanced(self, n):
         return LabeledCorpus(

@@ -349,11 +349,11 @@ class TestDrivers:
     def test_ablation_suite_rows(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
         rows = ablation_suite(trigger_corpus, cfg, quick_cfg(max_epochs=2))
-        assert [r.setting for r in rows] == list(ABLATION_SETTINGS)
-        assert all(not r.diverged for r in rows)
-        assert all(r.seconds_per_epoch > 0 for r in rows)
-        baseline = rows[0].result.model.state_arrays()
-        full = rows[-1].result.model.state_arrays()
+        assert [setting for setting, _ in rows] == list(ABLATION_SETTINGS)
+        assert all(result is not None for _, result in rows)
+        assert all(result.seconds_per_epoch > 0 for _, result in rows)
+        baseline = rows[0][1].model.state_arrays()
+        full = rows[-1][1].model.state_arrays()
         diffs = [np.max(np.abs(baseline[k] - full[k])) for k in baseline]
         assert max(diffs) > 1e-8  # settings train to different parameters
 
@@ -362,11 +362,24 @@ class TestDrivers:
         with pytest.raises(ConfigError, match="valid settings"):
             ablation_suite(trigger_corpus, cfg, quick_cfg(), settings=["SAM", "nope"])
 
+    def test_empty_roster_rejected(self, trigger_corpus):
+        cfg = SamConfig(d_model=8, max_len=16)
+        with pytest.raises(ConfigError, match="no ablation setting"):
+            ablation_suite(trigger_corpus, cfg, quick_cfg(), settings=[])
+
     def test_default_grid_has_17_points(self):
         grid = default_delta_grid()
         assert len(grid) == 17
         assert grid[0] == 0.0 and grid[-1] == 0.8
         assert default_delta_grid(0.0, 1.0, 0.5) == [0.0, 0.5, 1.0]
+        assert default_delta_grid(0.3, 0.3, 0.1) == [0.3]
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.5, 0.2, 0.1), (0.0, 0.8, 0.0), (0.0, 0.8, float("nan")), (-0.1, 0.5, 0.1), (0.5, 1.2, 0.1),
+    ])
+    def test_grid_rejects_bad_step_or_range(self, start, stop, step):
+        with pytest.raises(ConfigError):
+            default_delta_grid(start, stop, step)
 
     def test_delta_sweep_metrics_and_gate_bound(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
@@ -395,7 +408,7 @@ class TestDrivers:
         train_cfg = quick_cfg(max_epochs=2)
         points = delta_sweep(trigger_corpus, cfg, train_cfg, [0.0])
         rows = ablation_suite(trigger_corpus, cfg, train_cfg, settings=["SAM"])
-        assert points[0].metric == rows[0].metric
+        assert points[0].metric == rows[0][1].mean_metric
 
 
 def test_train_config_validation():
