@@ -38,10 +38,18 @@ class TrainConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("learning rate, eps, batch size, and epochs must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight decay must be non-negative, got {self.weight_decay}")
+        # written so that NaN fails every check
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not value > 0 or not math.isfinite(value):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not self.weight_decay >= 0 or not math.isfinite(self.weight_decay):
+            raise ConfigError(f"weight decay must be non-negative and finite, got {self.weight_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ConfigError("batch size and epochs must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.lookahead_k < 1 or not 0.0 <= self.lookahead_alpha <= 1.0:
@@ -64,6 +72,10 @@ class EvalReport:
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    # one flag per row of each parameter of two or more dimensions, set once
+    # the row has had a gradient: until then its m, v and gradient are +0.0.
+    # A parameter leaves this dict once every row is live.
+    live: dict[str, np.ndarray]
     t: int = 0
 
 
@@ -71,6 +83,8 @@ def init_adam_state(params: dict[str, Tensor]) -> AdamState:
     return AdamState(
         m={name: np.zeros_like(p.data) for name, p in params.items()},
         v={name: np.zeros_like(p.data) for name, p in params.items()},
+        live={name: np.zeros(len(p.data), dtype=bool)
+              for name, p in params.items() if p.data.ndim >= 2},
     )
 
 
@@ -82,7 +96,8 @@ _BLOCK_ELEMENTS = 1 << 14
 
 def _row_blocks(arrays: tuple[np.ndarray, ...], scratch: int):
     """Yield views of one cache-sized block of rows of every array (all of
-    one shape), followed by ``scratch`` buffers of that block's shape.
+    one row count), followed by ``scratch`` buffers of that block of the
+    first array.
 
     An array that fits in one block, as does every array with one row or
     none, is yielded whole; a row longer than a block is a block of its own.
@@ -114,6 +129,16 @@ def adamw_step(
     ``w = w - lr*(m/bc1 / (sqrt(v/bc2) + eps)) - (lr*wd)*w`` in that
     expression's order, so the result is bit-identical to evaluating it
     over whole arrays.
+
+    A row that has never had a gradient holds m = v = g = +0.0, where that
+    expression reduces exactly to ``w - (lr*wd)*w`` with m and v kept at
+    +0.0. A block of such a table with at most half its rows live gathers
+    the live rows for the full expression and gives the others only that
+    decay. A row goes live once it appears in its leaf's record of
+    row-sparse writes (``Tensor._rows``); every row does after a dense
+    gradient, or when ``grads`` holds an array other than the leaf's own
+    buffer. With a record, the finite check reads only the recorded rows,
+    since every other row of the buffer is +0.0.
     """
     state.t += 1
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.eps, cfg.lr
@@ -121,28 +146,65 @@ def adamw_step(
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     decay = lr * cfg.weight_decay
+
+    def update(w, g, m, v, t1, t2):
+        np.multiply(m, b1, out=m)
+        np.multiply(c1, g, out=t1)
+        np.add(m, t1, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(c2, g, out=t1)
+        np.multiply(t1, g, out=t1)
+        np.add(v, t1, out=v)
+        np.divide(m, bc1, out=t1)
+        np.divide(v, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        np.add(t2, eps, out=t2)
+        np.divide(t1, t2, out=t1)
+        np.multiply(t1, lr, out=t1)
+        np.multiply(decay, w, out=t2)
+        np.subtract(w, t1, out=w)
+        np.subtract(w, t2, out=w)
+
     for name, p in params.items():
         grad = grads[name]
-        if not np.all(np.isfinite(grad)):
+        written = p._rows if grad is p.grad else None
+        if written is None:
+            finite = np.all(np.isfinite(grad))
+        else:
+            finite = all(np.all(np.isfinite(grad[rows])) for rows in written)
+        if not finite:
             raise NumericError(f"non-finite gradient for parameter '{name}'")
-        blocks = _row_blocks((p.data, grad, state.m[name], state.v[name]), scratch=2)
-        for w, g, m, v, t1, t2 in blocks:
-            np.multiply(m, b1, out=m)
-            np.multiply(c1, g, out=t1)
-            np.add(m, t1, out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(c2, g, out=t1)
-            np.multiply(t1, g, out=t1)
-            np.add(v, t1, out=v)
-            np.divide(m, bc1, out=t1)
-            np.divide(v, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            np.add(t2, eps, out=t2)
-            np.divide(t1, t2, out=t1)
-            np.multiply(t1, lr, out=t1)
+        arrays = (p.data, grad, state.m[name], state.v[name])
+        live = state.live.get(name)
+        if live is not None:
+            if written is None:
+                live[...] = True
+            else:
+                for rows in written:
+                    live[rows] = True
+            if live.all():
+                del state.live[name]
+                live = None
+        if live is None:
+            for block in _row_blocks(arrays, scratch=2):
+                update(*block)
+            continue
+        for w, g, m, v, lv, *buffers, t1, t2 in _row_blocks((*arrays, live), scratch=6):
+            k = np.count_nonzero(lv)
+            if 2 * k > len(lv):
+                # the full rule gives never-live rows the same bits, and on a
+                # mostly live block it is cheaper than a gather
+                update(w, g, m, v, t1, t2)
+                continue
+            if k:
+                rows = np.flatnonzero(lv)
+                gw, gg, gm, gv = (np.take(a, rows, axis=0, out=b[:k], mode="clip")
+                                  for a, b in zip((w, g, m, v), buffers))
+                update(gw, gg, gm, gv, t1[:k], t2[:k])
             np.multiply(decay, w, out=t2)
-            np.subtract(w, t1, out=w)
             np.subtract(w, t2, out=w)
+            if k:
+                w[rows], m[rows], v[rows] = gw, gm, gv
 
 
 def lookahead_sync(
@@ -399,12 +461,18 @@ class SweepPoint:
     max_gate: float
 
 
+MAX_GRID_POINTS = 1001
+
+
 def default_delta_grid(start: float = 0.0, stop: float = 0.8, step: float = 0.05) -> list[float]:
-    if not step > 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
+    if not step > 0 or not math.isfinite(step):
+        raise ConfigError(f"grid step must be positive and finite, got {step}")
     if not 0.0 <= start <= stop <= 1.0:
         raise ConfigError(f"grid range must satisfy 0 <= start <= stop <= 1, got {start}:{stop}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # inf for a subnormal step
+    if steps >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points")
+    count = int(np.floor(steps)) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
 

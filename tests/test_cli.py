@@ -291,9 +291,13 @@ class TestSweepCommand:
      (["sweep-delta", "--grid", "0:0.8:0"], "grid step must be positive"),
      (["sweep-delta", "--grid", "0:0.8:nan"], "grid step must be positive"),
      (["sweep-delta", "--grid", "0.5:0.2:0.1"], "0 <= start <= stop <= 1"),
-     (["sweep-delta", "--grid", "0.5:1.2:0.1"], "0 <= start <= stop <= 1")],
+     (["sweep-delta", "--grid", "0.5:1.2:0.1"], "0 <= start <= stop <= 1"),
+     (["sweep-delta", "--grid", "0:1:1e-6"], "more than 1001 points"),
+     (["train", "--lr", "nan"], "lr must be positive and finite"),
+     (["train", "--lr", "inf"], "lr must be positive and finite"),
+     (["ablate", "--weight-decay", "nan"], "weight decay must be non-negative and finite")],
     ids=["delta", "unknown-setting", "no-setting", "zero-step", "nan-step", "reversed-grid",
-         "grid-above-one"],
+         "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay"],
 )
 def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
     out = tmp_path / "x"

@@ -23,6 +23,7 @@ TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4
 PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
 BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
 MAXPOOL_DIGEST = "62cbca36fcf514cbb3e1426e0868acd8205967dec3c34a0c6c867b55ad6fd23c"
+LONG_TEXTS_DIGEST = "32859ba692b22273682f854774ced7f0af82932a06ec8c5a773544f0bec961b9"
 
 
 def history_digest(path) -> str:
@@ -45,6 +46,19 @@ def write_samemb1(path) -> None:
     store_precomputed(path, seqs)
 
 
+def write_long_texts(path) -> None:
+    """120 texts of 20 to 30 words drawn from 100k fillers; class 1 puts
+    ``kw`` among the first 6 words."""
+    rng = np.random.default_rng(13)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(120):
+            label = i % 2
+            words = [f"w{j}" for j in rng.integers(0, 100_000, size=int(rng.integers(20, 31)))]
+            if label:
+                words[int(rng.integers(0, 6))] = "kw"
+            fh.write(f"{label}\t{' '.join(words)}\n")
+
+
 def train_table(tmp_path) -> list[str]:
     return ["--synthetic", "cooc:240:30", "--dim", "8", "--max-len", "12"]
 
@@ -60,6 +74,15 @@ def train_maxpool(tmp_path) -> list[str]:
             "--pool", "max", "--order", "tam-fam", "--dropout", "0.1"]
 
 
+def train_long_texts(tmp_path) -> list[str]:
+    # about 1500 table rows of width 32 per fold (three optimizer blocks), of
+    # which only the first 6 words of each text reach the model: most rows
+    # never get a gradient
+    data = tmp_path / "long.tsv"
+    write_long_texts(data)
+    return ["--data", str(data), "--dim", "32", "--max-len", "6"]
+
+
 def train_precomputed(tmp_path) -> list[str]:
     data = tmp_path / "golden.semb"
     write_samemb1(data)
@@ -69,8 +92,9 @@ def train_precomputed(tmp_path) -> list[str]:
 @pytest.mark.parametrize(
     "inputs, expected",
     [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST),
-     (train_big_table, BIG_TABLE_DIGEST), (train_maxpool, MAXPOOL_DIGEST)],
-    ids=["table", "precomputed", "big-table", "maxpool-tam-fam-dropout"],
+     (train_big_table, BIG_TABLE_DIGEST), (train_maxpool, MAXPOOL_DIGEST),
+     (train_long_texts, LONG_TEXTS_DIGEST)],
+    ids=["table", "precomputed", "big-table", "maxpool-tam-fam-dropout", "long-texts"],
 )
 def test_training_history_digest(tmp_path, inputs, expected):
     out = tmp_path / "run"

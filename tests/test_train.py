@@ -4,7 +4,7 @@ import pytest
 from seqattn.data import LabeledCorpus, make_synthetic
 from seqattn.errors import ConfigError, NumericError
 from seqattn.sam import SamConfig
-from seqattn.tensor import Tensor
+from seqattn.tensor import RowGrad, Tensor
 from seqattn import train
 from seqattn.train import (
     ABLATION_SETTINGS,
@@ -238,6 +238,137 @@ class TestBlockedOptimizer:
         assert same_bits(state.v["table"], v)
 
 
+def table_params(rng):
+    """A multi-block table whose rows include -0.0 and subnormal weights,
+    and a bias that always gets a dense gradient."""
+    data = rng.normal(size=OPTIMIZER_SHAPES["table"])
+    data[700:710] = -0.0
+    data[710:720] = 5e-324  # the smallest subnormal
+    data[720:730] = -3e-310
+    return {"table": Tensor(data, requires_grad=True),
+            "bias": Tensor(rng.normal(size=48), requires_grad=True)}
+
+
+def row_grad(rows, values, shape=OPTIMIZER_SHAPES["table"]):
+    return RowGrad(np.asarray(rows), np.asarray(values, dtype=np.float64), shape)
+
+
+class TestNeverLiveRows:
+    """Rows of a table that never had a gradient take weight decay alone;
+    the result must equal the dense expression bit for bit."""
+
+    def run_steps(self, gradients):
+        cfg = TrainConfig(lr=0.05, weight_decay=0.01)
+        mine, theirs = table_params(np.random.default_rng(8)), table_params(np.random.default_rng(8))
+        my_state, their_state = init_adam_state(mine), init_adam_state(theirs)
+        for step, (table_grads, check) in enumerate(gradients, start=1):
+            for params in (mine, theirs):
+                for p in params.values():
+                    p.zero_grad()
+                for g in table_grads:
+                    params["table"]._accumulate(g)
+                params["bias"]._accumulate(np.full(48, 0.1 * step))
+            if check is not None:
+                check(my_state)
+            adamw_step(mine, {n: p.grad for n, p in mine.items()}, my_state, cfg)
+            unblocked_adamw_step(theirs, {n: p.grad for n, p in theirs.items()}, their_state, cfg)
+            for name in mine:
+                assert same_bits(mine[name].data, theirs[name].data), (step, name)
+                assert same_bits(my_state.m[name], their_state.m[name]), (step, name)
+                assert same_bits(my_state.v[name], their_state.v[name]), (step, name)
+        return mine, my_state
+
+    def test_matches_dense_expression_bit_for_bit(self):
+        rows, dim = OPTIMIZER_SHAPES["table"]
+        per_block = BLOCK // dim
+        rng = np.random.default_rng(9)
+
+        def some(lo, hi, n):
+            picked = np.sort(rng.choice(np.arange(lo, hi), size=n, replace=False))
+            return row_grad(picked, rng.normal(size=(n, dim)))
+
+        def blocks_of_every_kind(state):
+            # before the dense add: block 0 mostly live, block 1 partly, block 2 never
+            live = state.live["table"]
+            counts = [np.count_nonzero(live[lo : lo + per_block]) for lo in range(0, rows, per_block)]
+            assert counts[0] > per_block // 2
+            assert 0 < counts[1] <= per_block // 2
+            assert counts[2] == 0
+
+        negative_subnormal_m = row_grad([400], np.full((1, dim), -1e-310))
+        zero_values = row_grad([401], np.zeros((1, dim)))
+        gradients = [
+            ([some(0, 300, 250), some(per_block, 2 * per_block, 20)], None),
+            ([negative_subnormal_m, zero_values], None),  # both rows then stay idle
+            ([], None),  # no gradient for the table: its row record is []
+            ([some(0, per_block, 30)], None),
+            ([some(per_block, 2 * per_block, 10), some(per_block, 2 * per_block, 10)], None),
+            ([some(3 * per_block, rows, 3)], None),
+            ([some(0, 2 * per_block, 40)], blocks_of_every_kind),
+            ([some(0, rows, 50), rng.normal(size=(rows, dim))], None),  # dense: every row live
+            ([some(0, rows, 50)], None),
+            ([], None),
+            ([some(2 * per_block, 3 * per_block, 5)], None),
+            ([some(0, rows, 5)], None),
+        ]
+        params, state = self.run_steps(gradients)
+        assert state.t == 12
+        assert "table" not in state.live  # every row went live with the dense add
+        assert np.all(np.isfinite(params["table"].data))
+
+    def test_idle_subnormal_and_zero_rows_before_any_dense_gradient(self):
+        dim = OPTIMIZER_SHAPES["table"][1]
+        gradients = [([row_grad([400, 705, 715], np.full((3, dim), -1e-310))], None),
+                     ([row_grad([401, 725], np.zeros((2, dim)))], None)]
+        gradients += [([], None)] * 8
+        _, state = self.run_steps(gradients)
+        # the negative subnormal m of the rows written once decays toward
+        # zero under the dense rule, and the untouched rows keep m at +0.0
+        assert np.all(state.m["table"][[400, 705, 715]] <= 0.0)
+        untouched = np.ones(len(state.live["table"]), dtype=bool)
+        untouched[[400, 401, 705, 715, 725]] = False
+        assert not np.any(state.live["table"][untouched])
+        assert same_bits(state.m["table"][untouched], np.zeros((untouched.sum(), dim)))
+
+    def test_own_gradient_arrays_ignore_the_row_record(self):
+        # after zero_grad the record is [], but the caller's arrays are dense
+        cfg = TrainConfig(lr=0.05, weight_decay=0.01)
+        mine, theirs = table_params(np.random.default_rng(8)), table_params(np.random.default_rng(8))
+        my_state, their_state = init_adam_state(mine), init_adam_state(theirs)
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            grads = {n: sparse_gradient(rng, p.shape) for n, p in mine.items()}
+            for p in mine.values():
+                p.zero_grad()
+            adamw_step(mine, grads, my_state, cfg)
+            unblocked_adamw_step(theirs, grads, their_state, cfg)
+        for name in mine:
+            assert same_bits(mine[name].data, theirs[name].data), name
+            assert same_bits(my_state.m[name], their_state.m[name]), name
+            assert same_bits(my_state.v[name], their_state.v[name]), name
+
+    def test_inf_in_a_written_row_raises_and_leaves_the_table_untouched(self):
+        rows, dim = OPTIMIZER_SHAPES["table"]
+        rng = np.random.default_rng(11)
+        params = table_params(rng)
+        state = init_adam_state(params)
+        table = params["table"]
+        for step in range(3):
+            table.zero_grad()
+            table._accumulate(row_grad([2 + step, 500], rng.normal(size=(2, dim))))
+            adamw_step(params, {n: p.grad for n, p in params.items()}, state, TrainConfig())
+        table.zero_grad()
+        values = rng.normal(size=(2, dim))
+        values[1, 7] = np.inf
+        table._accumulate(row_grad([3, rows - 1], values))
+        before = (table.data.copy(), state.m["table"].copy(), state.v["table"].copy())
+        with pytest.raises(NumericError, match="'table'"):
+            adamw_step(params, {n: p.grad for n, p in params.items()}, state, TrainConfig())
+        assert same_bits(table.data, before[0])
+        assert same_bits(state.m["table"], before[1])
+        assert same_bits(state.v["table"], before[2])
+
+
 class TestClassificationReport:
     def test_all_correct(self):
         labels = np.array([0, 1, 1, 0])
@@ -373,9 +504,11 @@ class TestDrivers:
         assert grid[0] == 0.0 and grid[-1] == 0.8
         assert default_delta_grid(0.0, 1.0, 0.5) == [0.0, 0.5, 1.0]
         assert default_delta_grid(0.3, 0.3, 0.1) == [0.3]
+        assert len(default_delta_grid(0.0, 1.0, 0.001)) == train.MAX_GRID_POINTS == 1001
 
     @pytest.mark.parametrize("start, stop, step", [
         (0.5, 0.2, 0.1), (0.0, 0.8, 0.0), (0.0, 0.8, float("nan")), (-0.1, 0.5, 0.1), (0.5, 1.2, 0.1),
+        (0.0, 0.8, float("inf")), (0.0, 1.0, 0.000999), (0.0, 1.0, 1e-6), (0.0, 1.0, 1e-320),
     ])
     def test_grid_rejects_bad_step_or_range(self, start, stop, step):
         with pytest.raises(ConfigError):
@@ -418,3 +551,18 @@ def test_train_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(lookahead_k=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")), ("eps", float("inf")),
+    ("eps", 0.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("weight_decay", float("-inf")), ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+    ("beta2", 1.0), ("beta2", float("nan")),
+])
+def test_train_config_rejects_non_finite_or_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field.replace("_", " ")):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_betas_and_decay():
+    TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0)
