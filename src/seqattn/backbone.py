@@ -33,18 +33,45 @@ def split_text(text: str) -> list[str]:
 
 
 class Vocab:
-    """Bidirectional token/id map with reserved PAD=0 and UNK=1."""
+    """Bidirectional token/id map with reserved PAD=0 and UNK=1.
 
-    def __init__(self, tokens: list[str]):
+    ``draw_order[i]`` is the row of a fresh table's random draw that id
+    ``i`` takes (None: row ``i``), so that renumbering the tokens does not
+    change the vector any token starts from.
+    """
+
+    def __init__(self, tokens: list[str], draw_order: np.ndarray | None = None):
         self.id_to_token = ["<pad>", "<unk>"] + list(tokens)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate token in vocabulary")
+        self.draw_order = draw_order
 
     @classmethod
-    def build(cls, texts) -> "Vocab":
-        # every token seen, in first-appearance order, which keeps ids deterministic
-        return cls(list(dict.fromkeys(tok for text in texts for tok in split_text(text))))
+    def build(cls, texts, max_len: int | None = None) -> "Vocab":
+        """Every token of ``texts``, numbered visible-first.
+
+        A token is visible if it is among the first ``max_len`` tokens of
+        some text (every token is when ``max_len`` is None). Those are the
+        ids :func:`tokenize` can emit for ``texts``, and so the only table
+        rows that training on them gives a gradient. They come first, then
+        every other token, each group in first-appearance order over whole
+        texts; ``draw_order`` maps the ids back to that order.
+        """
+        visible: set[str] = set()
+
+        def tokens():
+            for text in texts:
+                toks = split_text(text)
+                visible.update(toks[:max_len])
+                yield from toks
+
+        order = list(dict.fromkeys(tokens()))
+        if len(visible) == len(order):
+            return cls(order)
+        seen = np.fromiter(map(visible.__contains__, order), dtype=bool, count=len(order))
+        rows = np.argsort(~seen, kind="stable")  # a stable sort keeps each group's order
+        return cls([order[i] for i in rows.tolist()], np.concatenate(([PAD_ID, UNK_ID], rows + 2)))
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -61,7 +88,7 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     always holds.
     """
     toks = split_text(text)
-    ids = [vocab.encode(t) for t in toks][:max_len] or [UNK_ID]
+    ids = [vocab.encode(t) for t in toks[:max_len]] or [UNK_ID]
     row = np.full(max_len, PAD_ID, dtype=np.int64)
     row[: len(ids)] = ids
     mask_row = np.zeros(max_len)
@@ -76,9 +103,14 @@ class EmbeddingTable:
     weight: Tensor
 
     @classmethod
-    def init(cls, vocab_size: int, dim: int, rng: np.random.Generator) -> "EmbeddingTable":
+    def init(
+        cls, vocab_size: int, dim: int, rng: np.random.Generator, draw_order: np.ndarray | None = None
+    ) -> "EmbeddingTable":
+        """Uniform Glorot rows; row ``i`` takes row ``draw_order[i]`` of the draw."""
         bound = np.sqrt(6.0 / (vocab_size + dim))
         data = rng.uniform(-bound, bound, size=(vocab_size, dim))
+        if draw_order is not None:
+            data = data[draw_order]
         data[PAD_ID] = 0.0
         return cls(weight=Tensor(data, requires_grad=True))
 

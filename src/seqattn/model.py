@@ -130,7 +130,7 @@ def init_model(
     """Fresh model; pass a vocab for table mode, none for precomputed mode."""
     table = None
     if vocab is not None:
-        table = EmbeddingTable.init(len(vocab), cfg.d_model, rng)
+        table = EmbeddingTable.init(len(vocab), cfg.d_model, rng, vocab.draw_order)
     return Model(
         cfg=cfg,
         sam=init_sam_params(cfg, rng),

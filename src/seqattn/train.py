@@ -72,19 +72,19 @@ class EvalReport:
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    # one flag per row of each parameter of two or more dimensions, set once
-    # the row has had a gradient: until then its m, v and gradient are +0.0.
-    # A parameter leaves this dict once every row is live.
-    live: dict[str, np.ndarray]
+    # per parameter of one or more dimensions, how many leading rows have
+    # ever had a gradient: every row from there on holds m = v = g = +0.0
+    seen: dict[str, int]
     t: int = 0
 
 
 def init_adam_state(params: dict[str, Tensor]) -> AdamState:
+    # np.zeros takes zeroed memory from calloc, so the moments of rows that
+    # never get a gradient are never written and their pages never resident
     return AdamState(
-        m={name: np.zeros_like(p.data) for name, p in params.items()},
-        v={name: np.zeros_like(p.data) for name, p in params.items()},
-        live={name: np.zeros(len(p.data), dtype=bool)
-              for name, p in params.items() if p.data.ndim >= 2},
+        m={name: np.zeros(p.data.shape) for name, p in params.items()},
+        v={name: np.zeros(p.data.shape) for name, p in params.items()},
+        seen={name: 0 for name, p in params.items() if p.data.ndim},
     )
 
 
@@ -132,13 +132,14 @@ def adamw_step(
 
     A row that has never had a gradient holds m = v = g = +0.0, where that
     expression reduces exactly to ``w - (lr*wd)*w`` with m and v kept at
-    +0.0. A block of such a table with at most half its rows live gathers
-    the live rows for the full expression and gives the others only that
-    decay. A row goes live once it appears in its leaf's record of
-    row-sparse writes (``Tensor._rows``); every row does after a dense
-    gradient, or when ``grads`` holds an array other than the leaf's own
-    buffer. With a record, the finite check reads only the recorded rows,
-    since every other row of the buffer is +0.0.
+    +0.0. Rows from a parameter's mark ``state.seen[name]`` on get only
+    that decay; the rows before it run the full expression, which gives
+    never-written rows among them the same bits. The mark rises to one past
+    the highest row in the leaf's record of row-sparse writes
+    (``Tensor._rows``), and to the row count after a dense gradient, or
+    when ``grads`` holds an array other than the leaf's own buffer. With a
+    record, the finite check reads only the recorded rows, since every
+    other row of the buffer is +0.0.
     """
     state.t += 1
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.eps, cfg.lr
@@ -175,36 +176,20 @@ def adamw_step(
         if not finite:
             raise NumericError(f"non-finite gradient for parameter '{name}'")
         arrays = (p.data, grad, state.m[name], state.v[name])
-        live = state.live.get(name)
-        if live is not None:
+        seen = state.seen.get(name)  # None for a 0-d parameter
+        if seen is not None:
             if written is None:
-                live[...] = True
+                seen = len(p.data)
             else:
-                for rows in written:
-                    live[rows] = True
-            if live.all():
-                del state.live[name]
-                live = None
-        if live is None:
-            for block in _row_blocks(arrays, scratch=2):
-                update(*block)
-            continue
-        for w, g, m, v, lv, *buffers, t1, t2 in _row_blocks((*arrays, live), scratch=6):
-            k = np.count_nonzero(lv)
-            if 2 * k > len(lv):
-                # the full rule gives never-live rows the same bits, and on a
-                # mostly live block it is cheaper than a gather
-                update(w, g, m, v, t1, t2)
-                continue
-            if k:
-                rows = np.flatnonzero(lv)
-                gw, gg, gm, gv = (np.take(a, rows, axis=0, out=b[:k], mode="clip")
-                                  for a, b in zip((w, g, m, v), buffers))
-                update(gw, gg, gm, gv, t1[:k], t2[:k])
-            np.multiply(decay, w, out=t2)
-            np.subtract(w, t2, out=w)
-            if k:
-                w[rows], m[rows], v[rows] = gw, gm, gv
+                seen = max([seen, *(int(rows.max()) + 1 for rows in written if len(rows))])
+            state.seen[name] = seen
+            if seen < len(p.data):
+                for w, t in _row_blocks((p.data[seen:],), scratch=1):
+                    np.multiply(decay, w, out=t)
+                    np.subtract(w, t, out=w)
+                arrays = tuple(a[:seen] for a in arrays)
+        for block in _row_blocks(arrays, scratch=2):
+            update(*block)
 
 
 def lookahead_sync(
@@ -384,7 +369,7 @@ def train_run(
         train_idx, dev_idx = train_dev_indices(assignment, fold)
         rng = np.random.default_rng([train_cfg.seed, fold])
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
-        vocab = Vocab.build(train_set.texts()) if texts else None
+        vocab = Vocab.build(train_set.texts(), sam_cfg.max_len) if texts else None
         model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
         train_batch = encode(train_set, vocab, sam_cfg.max_len)
         dev_batch = encode(dev_set, vocab, sam_cfg.max_len)

@@ -50,6 +50,41 @@ class TestTokenize:
         assert ids.tolist()[:3] == [2, UNK_ID, 3]  # comma is its own (unknown) token
 
 
+class TestVocabBuild:
+    # "cut", "off" and "y" occur only past the first two words of a text;
+    # "b" is past them in the first text but among them in the second
+    TEXTS = ["a x cut b", "b a off y", "x a"]
+
+    def test_visible_tokens_first_each_group_in_first_appearance_order(self):
+        vocab = Vocab.build(self.TEXTS, max_len=2)
+        assert vocab.id_to_token == ["<pad>", "<unk>", "a", "x", "b", "cut", "off", "y"]
+
+    def test_ids_the_texts_can_emit_are_one_leading_block(self):
+        vocab = Vocab.build(self.TEXTS, max_len=2)
+        emitted = {int(i) for text in self.TEXTS for i in tokenize(text, vocab, 2)[0]}
+        visible = {vocab.encode(t) for text in self.TEXTS for t in text.split()[:2]}
+        assert emitted - {PAD_ID} == visible == set(range(2, 5))
+
+    def test_every_token_visible_keeps_first_appearance_order(self, movie_vocab):
+        whole = Vocab.build(self.TEXTS)
+        assert whole.id_to_token == ["<pad>", "<unk>", "a", "x", "cut", "b", "off", "y"]
+        assert whole.draw_order is None
+        assert Vocab.build(self.TEXTS, max_len=4).id_to_token == whole.id_to_token
+        assert Vocab.build(["good movie !"], max_len=3).id_to_token == movie_vocab.id_to_token
+
+    def test_fresh_table_gives_every_token_its_whole_text_order_vector(self):
+        texts = [" ".join(f"t{j}" for j in np.random.default_rng(i).integers(0, 400, size=30))
+                 for i in range(40)]
+        ordered = Vocab.build(texts, max_len=5)
+        whole = Vocab.build(texts)
+        assert ordered.id_to_token != whole.id_to_token
+        assert sorted(ordered.id_to_token) == sorted(whole.id_to_token)
+        a = EmbeddingTable.init(len(ordered), 6, np.random.default_rng(3), ordered.draw_order)
+        b = EmbeddingTable.init(len(whole), 6, np.random.default_rng(3))
+        for token, i in ordered.token_to_id.items():
+            assert same_bits(a.weight.data[i], b.weight.data[whole.token_to_id[token]]), token
+
+
 class TestEmbed:
     def test_all_pad_rows_embed_to_zero(self):
         table = EmbeddingTable.init(6, 3, np.random.default_rng(0))

@@ -112,6 +112,10 @@ HEATMAP_DIGESTS = {
               "e599f70096b320b6ba915d008a1ce685e81772b69b5012a17b5461b6e9ad89a8"),
     "precomputed": ("7b8cc44871ad5a78288afdace0fa3026688dccf7937e942fb1d74520d8bf68c8",
                     "16b33c0517b61c7c70adf3dcdc6875b68bd1e77185b56ed3598670b87a7068fe"),
+    # recorded before the table was numbered visible-first: the words that
+    # training saw only past --max-len must keep their vectors
+    "long_texts": ("be9f8f125f0708808a1801dd6227b92eb7de5a6de409c64f8f5b0a2bb92af614",
+                   "6bc68f79fcdf263b0e3287bc4c8b8775f0fe8d2af2eb8fc228d618dc59e63383"),
 }
 
 
@@ -124,7 +128,14 @@ def heatmap_precomputed(tmp_path) -> tuple[list[str], list[str]]:
     return inputs, ["--data", str(tmp_path / "golden.semb"), "--index", "37"]
 
 
-@pytest.mark.parametrize("case", [heatmap_table, heatmap_precomputed], ids=["table", "precomputed"])
+def heatmap_long_texts(tmp_path) -> tuple[list[str], list[str]]:
+    # w43894, w44610, w166 and w68247 occur in the training texts only past
+    # the sixth word, so their table rows never get a gradient
+    return train_long_texts(tmp_path), ["--text", "w43894 kw w44610 w166 unseen w68247"]
+
+
+@pytest.mark.parametrize("case", [heatmap_table, heatmap_precomputed, heatmap_long_texts],
+                         ids=["table", "precomputed", "long-texts"])
 def test_heatmap_output_digest(tmp_path, case):
     train_inputs, heatmap_inputs = case(tmp_path)
     out = tmp_path / "run"

@@ -254,29 +254,34 @@ def row_grad(rows, values, shape=OPTIMIZER_SHAPES["table"]):
 
 
 class TestNeverLiveRows:
-    """Rows of a table that never had a gradient take weight decay alone;
-    the result must equal the dense expression bit for bit."""
+    """Table rows past the mark, one past the highest row ever written, take
+    weight decay alone; the result must equal the dense expression bit for
+    bit."""
 
     def run_steps(self, gradients):
         cfg = TrainConfig(lr=0.05, weight_decay=0.01)
         mine, theirs = table_params(np.random.default_rng(8)), table_params(np.random.default_rng(8))
         my_state, their_state = init_adam_state(mine), init_adam_state(theirs)
-        for step, (table_grads, check) in enumerate(gradients, start=1):
+        rows = OPTIMIZER_SHAPES["table"][0]
+        mark, marks = 0, []
+        for step, table_grads in enumerate(gradients, start=1):
             for params in (mine, theirs):
                 for p in params.values():
                     p.zero_grad()
                 for g in table_grads:
                     params["table"]._accumulate(g)
                 params["bias"]._accumulate(np.full(48, 0.1 * step))
-            if check is not None:
-                check(my_state)
+            for g in table_grads:
+                mark = max(mark, int(g.rows.max()) + 1) if isinstance(g, RowGrad) else rows
             adamw_step(mine, {n: p.grad for n, p in mine.items()}, my_state, cfg)
             unblocked_adamw_step(theirs, {n: p.grad for n, p in theirs.items()}, their_state, cfg)
+            assert my_state.seen == {"table": mark, "bias": 48}, step
+            marks.append(mark)
             for name in mine:
                 assert same_bits(mine[name].data, theirs[name].data), (step, name)
                 assert same_bits(my_state.m[name], their_state.m[name]), (step, name)
                 assert same_bits(my_state.v[name], their_state.v[name]), (step, name)
-        return mine, my_state
+        return mine, my_state, marks
 
     def test_matches_dense_expression_bit_for_bit(self):
         rows, dim = OPTIMIZER_SHAPES["table"]
@@ -287,47 +292,42 @@ class TestNeverLiveRows:
             picked = np.sort(rng.choice(np.arange(lo, hi), size=n, replace=False))
             return row_grad(picked, rng.normal(size=(n, dim)))
 
-        def blocks_of_every_kind(state):
-            # before the dense add: block 0 mostly live, block 1 partly, block 2 never
-            live = state.live["table"]
-            counts = [np.count_nonzero(live[lo : lo + per_block]) for lo in range(0, rows, per_block)]
-            assert counts[0] > per_block // 2
-            assert 0 < counts[1] <= per_block // 2
-            assert counts[2] == 0
-
         negative_subnormal_m = row_grad([400], np.full((1, dim), -1e-310))
         zero_values = row_grad([401], np.zeros((1, dim)))
         gradients = [
-            ([some(0, 300, 250), some(per_block, 2 * per_block, 20)], None),
-            ([negative_subnormal_m, zero_values], None),  # both rows then stay idle
-            ([], None),  # no gradient for the table: its row record is []
-            ([some(0, per_block, 30)], None),
-            ([some(per_block, 2 * per_block, 10), some(per_block, 2 * per_block, 10)], None),
-            ([some(3 * per_block, rows, 3)], None),
-            ([some(0, 2 * per_block, 40)], blocks_of_every_kind),
-            ([some(0, rows, 50), rng.normal(size=(rows, dim))], None),  # dense: every row live
-            ([some(0, rows, 50)], None),
-            ([], None),
-            ([some(2 * per_block, 3 * per_block, 5)], None),
-            ([some(0, rows, 5)], None),
+            [some(0, 300, 250), some(per_block, 2 * per_block, 20)],
+            [negative_subnormal_m, zero_values],  # both rows then stay idle
+            [],  # no gradient for the table: its row record is []
+            [some(0, per_block, 30)],
+            [some(per_block, 2 * per_block, 10), some(per_block, 2 * per_block, 10)],
+            [some(3 * per_block, rows, 3)],  # raises the mark past every block boundary
+            [some(0, 2 * per_block, 40)],
+            [some(0, rows, 50), rng.normal(size=(rows, dim))],  # dense: the mark covers every row
+            [some(0, rows, 50)],
+            [],
+            [some(2 * per_block, 3 * per_block, 5)],
+            [some(0, rows, 5)],
         ]
-        params, state = self.run_steps(gradients)
+        params, state, marks = self.run_steps(gradients)
         assert state.t == 12
-        assert "table" not in state.live  # every row went live with the dense add
+        # the -0.0 and subnormal weights of rows 700-730 lie past the mark for
+        # five steps, then below it without ever having had a gradient
+        assert max(marks[:5]) <= 2 * per_block < 700 and 730 < marks[5] < rows
+        assert marks[7:] == [rows] * 5
         assert np.all(np.isfinite(params["table"].data))
 
     def test_idle_subnormal_and_zero_rows_before_any_dense_gradient(self):
-        dim = OPTIMIZER_SHAPES["table"][1]
-        gradients = [([row_grad([400, 705, 715], np.full((3, dim), -1e-310))], None),
-                     ([row_grad([401, 725], np.zeros((2, dim)))], None)]
-        gradients += [([], None)] * 8
-        _, state = self.run_steps(gradients)
+        rows, dim = OPTIMIZER_SHAPES["table"]
+        gradients = [[row_grad([400, 705, 715], np.full((3, dim), -1e-310))],
+                     [row_grad([401, 725], np.zeros((2, dim)))]]
+        gradients += [[]] * 8
+        _, state, marks = self.run_steps(gradients)
+        assert marks == [716] + [726] * 9
         # the negative subnormal m of the rows written once decays toward
         # zero under the dense rule, and the untouched rows keep m at +0.0
         assert np.all(state.m["table"][[400, 705, 715]] <= 0.0)
-        untouched = np.ones(len(state.live["table"]), dtype=bool)
+        untouched = np.ones(rows, dtype=bool)
         untouched[[400, 401, 705, 715, 725]] = False
-        assert not np.any(state.live["table"][untouched])
         assert same_bits(state.m["table"][untouched], np.zeros((untouched.sum(), dim)))
 
     def test_own_gradient_arrays_ignore_the_row_record(self):
@@ -342,10 +342,44 @@ class TestNeverLiveRows:
                 p.zero_grad()
             adamw_step(mine, grads, my_state, cfg)
             unblocked_adamw_step(theirs, grads, their_state, cfg)
+            assert my_state.seen == {"table": OPTIMIZER_SHAPES["table"][0], "bias": 48}
         for name in mine:
             assert same_bits(mine[name].data, theirs[name].data), name
             assert same_bits(my_state.m[name], their_state.m[name]), name
             assert same_bits(my_state.v[name], their_state.v[name]), name
+
+    def test_scalar_and_vector_parameters(self):
+        # a 0-d parameter has no rows and always runs the full expression; a
+        # vector over several blocks takes row-sparse writes of single elements
+        cfg = TrainConfig(lr=0.05, weight_decay=0.01)
+        size = 2 * BLOCK + 5
+
+        def params():
+            rng = np.random.default_rng(12)
+            vector = rng.normal(size=size)
+            vector[BLOCK : BLOCK + 10] = -0.0
+            vector[BLOCK + 10 : BLOCK + 20] = -5e-324
+            return {"scalar": Tensor(np.array(-0.0), requires_grad=True),
+                    "vector": Tensor(vector, requires_grad=True)}
+
+        mine, theirs = params(), params()
+        my_state, their_state = init_adam_state(mine), init_adam_state(theirs)
+        writes = [[3, 40], [], [BLOCK - 1], [2 * BLOCK + 4], []]
+        for step, rows in enumerate(writes, start=1):
+            for ps in (mine, theirs):
+                for p in ps.values():
+                    p.zero_grad()
+                if rows:
+                    ps["vector"]._accumulate(RowGrad(np.array(rows), np.full(len(rows), 0.5), (size,)))
+                if step % 2:
+                    ps["scalar"]._accumulate(np.array(0.25 * step))
+            adamw_step(mine, {n: p.grad for n, p in mine.items()}, my_state, cfg)
+            unblocked_adamw_step(theirs, {n: p.grad for n, p in theirs.items()}, their_state, cfg)
+            for name in mine:
+                assert same_bits(mine[name].data, theirs[name].data), (step, name)
+                assert same_bits(my_state.m[name], their_state.m[name]), (step, name)
+                assert same_bits(my_state.v[name], their_state.v[name]), (step, name)
+            assert my_state.seen == {"vector": [41, 41, BLOCK, size, size][step - 1]}
 
     def test_inf_in_a_written_row_raises_and_leaves_the_table_untouched(self):
         rows, dim = OPTIMIZER_SHAPES["table"]
