@@ -98,7 +98,9 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class EmbeddingTable:
-    """Trainable (V, D) lookup matrix; row PAD_ID stays exactly zero."""
+    """Trainable (V, D) lookup matrix. Row PAD_ID starts at +0.0 and stays
+    there: :func:`embed` never gives it a gradient, so AdamW and lookahead
+    leave it as it is."""
 
     weight: Tensor
 
@@ -121,11 +123,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.weight.shape[1]
-
-    def enforce_pad_zero(self) -> None:
-        self.weight.data[PAD_ID] = 0.0
-        if self.weight.grad is not None:
-            self.weight.grad[PAD_ID] = 0.0
 
 
 def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
@@ -151,9 +148,9 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
 
     def vjp(g):
         rows, values = kernels.embedding_bwd(g, ids, vocab_size, PAD_ID)
-        return (RowGrad(rows, values, weight.shape),)
+        return RowGrad(rows, values, weight.shape)
 
-    return Tensor._result(out, (weight,), vjp, "embed")
+    return Tensor._result(out, "embed", (weight, vjp))
 
 
 # ---------------------------------------------------------------------------

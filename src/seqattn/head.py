@@ -47,9 +47,9 @@ def _take_first(x: Tensor) -> Tensor:
     def vjp(g):
         gx = np.zeros(shape)
         gx[:, 0, :] = g
-        return (gx,)
+        return gx
 
-    return Tensor._result(x.data[:, 0, :].copy(), (x,), vjp, "take_first")
+    return Tensor._result(x.data[:, 0, :].copy(), "take_first", (x, vjp))
 
 
 def pool_sequence(x: Tensor, mask: Mask, strategy: str) -> Tensor:
@@ -93,6 +93,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def vjp(g):
         grad = probs.copy()
         grad[np.arange(batch), labels] -= 1.0
-        return (grad * (g / batch),)
+        return grad * (g / batch)
 
-    return Tensor._result(np.asarray(losses.mean()), (logits,), vjp, "cross_entropy")
+    return Tensor._result(np.asarray(losses.mean()), "cross_entropy", (logits, vjp))

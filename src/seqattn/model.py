@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import operator
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,15 +142,7 @@ def init_model(
 
 def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
     meta = {
-        "sam": {
-            "d_model": model.cfg.d_model,
-            "max_len": model.cfg.max_len,
-            "delta": model.cfg.delta,
-            "bottleneck_ratio": model.cfg.bottleneck_ratio,
-            "order": model.cfg.order.value,
-            "fam_enabled": model.cfg.fam_enabled,
-            "tam_enabled": model.cfg.tam_enabled,
-        },
+        "sam": {**asdict(model.cfg), "order": model.cfg.order.value},
         "pooling": model.head.pooling,
         "num_classes": model.head.num_classes,
         "vocab": None if model.vocab is None else model.vocab.id_to_token[2:],

@@ -72,17 +72,23 @@ class RowGrad:
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and graph edge.
+    """A dense array plus an optional gradient buffer and graph edges.
 
-    Only leaves (tensors built with ``requires_grad=True``) carry a
-    ``.grad`` buffer; results of operations record their graph edge and
-    keep ``grad`` at None, since nothing reads an intermediate gradient.
+    An edge is an ``(operand, vjp)`` pair: ``vjp`` maps the gradient of
+    this tensor to the gradient of that one operand, as one array or one
+    :class:`RowGrad`. A result records an edge only to operands that
+    require a gradient, so constants never enter the backward walk. A
+    node with no edges is a leaf when it requires a gradient (built with
+    ``requires_grad=True``) and a constant otherwise.
+
+    Only leaves carry a ``.grad`` buffer; results of operations keep
+    ``grad`` at None, since nothing reads an intermediate gradient.
     A leaf records the rows that row-sparse gradients wrote into its
     buffer (``_rows``; None once a dense gradient was added, or before
     the first clear), so that ``zero_grad`` clears only those rows.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_rows", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_rows", "_edges")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -93,8 +99,7 @@ class Tensor:
         # writes every byte up front
         self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._rows: list[np.ndarray] | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._edges: tuple[tuple[Tensor, object], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,16 +137,18 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...], vjp, op: str) -> "Tensor":
+    def _result(data: np.ndarray, op: str, *edges) -> "Tensor":
+        """The result of operation ``op``, given one ``(operand, vjp)`` edge
+        per operand, in operand order. Only the edges whose operand
+        requires a gradient are kept (none under :func:`no_grad`), and the
+        result requires a gradient when any remain."""
         if not np.all(np.isfinite(data)):
             raise NumericError(f"non-finite values produced by '{op}'")
         out = Tensor.__new__(Tensor)
         out.data = data
-        track = _grad_enabled and any(p.requires_grad for p in parents)
-        out.requires_grad = track
         out.grad = None
-        out._parents = parents if track else ()
-        out._vjp = vjp if track else None
+        out._edges = tuple([e for e in edges if e[0].requires_grad]) if _grad_enabled else ()
+        out.requires_grad = bool(out._edges)
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -153,16 +160,17 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self.data, other.data
-
-        def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-        return Tensor._result(a + b, (self, other), vjp, "add")
+        return Tensor._result(
+            a + b,
+            "add",
+            (self, lambda g: _unbroadcast(g, a.shape)),
+            (other, lambda g: _unbroadcast(g, b.shape)),
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        return Tensor._result(-self.data, (self,), lambda g: (-g,), "neg")
+        return Tensor._result(-self.data, "neg", (self, lambda g: -g))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._coerce(other))
@@ -173,11 +181,12 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self.data, other.data
-
-        def vjp(g):
-            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
-
-        return Tensor._result(a * b, (self, other), vjp, "mul")
+        return Tensor._result(
+            a * b,
+            "mul",
+            (self, lambda g: _unbroadcast(g * b, a.shape)),
+            (other, lambda g: _unbroadcast(g * a, b.shape)),
+        )
 
     __rmul__ = __mul__
 
@@ -187,13 +196,13 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         src = self.data.shape
         return Tensor._result(
-            self.data.reshape(*shape), (self,), lambda g: (g.reshape(src),), "reshape"
+            self.data.reshape(*shape), "reshape", (self, lambda g: g.reshape(src))
         )
 
     def sum(self) -> "Tensor":
         src = self.data.shape
         return Tensor._result(
-            np.asarray(self.data.sum()), (self,), lambda g: (np.broadcast_to(g, src).copy(),), "sum"
+            np.asarray(self.data.sum()), "sum", (self, lambda g: np.broadcast_to(g, src).copy())
         )
 
     def mean(self) -> "Tensor":
@@ -201,16 +210,15 @@ class Tensor:
         src = self.data.shape
         return Tensor._result(
             np.asarray(self.data.mean()),
-            (self,),
-            lambda g: (np.broadcast_to(g / n, src).copy(),),
             "mean",
+            (self, lambda g: np.broadcast_to(g / n, src).copy()),
         )
 
     # -- activations -----------------------------------------------------------
 
     def relu(self) -> "Tensor":
         x = self.data
-        return Tensor._result(np.maximum(x, 0.0), (self,), lambda g: (g * (x > 0.0),), "relu")
+        return Tensor._result(np.maximum(x, 0.0), "relu", (self, lambda g: g * (x > 0.0)))
 
     def sigmoid(self) -> "Tensor":
         return sigmoid(self)
@@ -224,11 +232,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-
-    def vjp(g):
-        return g @ bd.T, ad.T @ g
-
-    return Tensor._result(ad @ bd, (a, b), vjp, "matmul")
+    return Tensor._result(ad @ bd, "matmul", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
@@ -245,11 +249,7 @@ def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
     out = np.zeros((ad.shape[0], bd.shape[1]))
     for k in range(ad.shape[1]):
         out += ad[:, k, None] * bd[k, None, :]
-
-    def vjp(g):
-        return g @ bd.T, ad.T @ g
-
-    return Tensor._result(out, (a, b), vjp, "matmul_ordered")
+    return Tensor._result(out, "matmul_ordered", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -269,11 +269,7 @@ def sigmoid(x: Tensor) -> Tensor:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._result(out, (x,), vjp, "sigmoid")
+    return Tensor._result(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
 
 
 class Mask:
@@ -329,11 +325,7 @@ def masked_softmax(x: Tensor, mask: Mask) -> Tensor:
     _check_mask(x, mask, 2)
     md = mask.data
     s = kernels.masked_softmax_fwd(x.data, md)
-
-    def vjp(g):
-        return (kernels.masked_softmax_bwd(g, s),)
-
-    return Tensor._result(s, (x,), vjp, "masked_softmax")
+    return Tensor._result(s, "masked_softmax", (x, lambda g: kernels.masked_softmax_bwd(g, s)))
 
 
 def masked_maxpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
@@ -346,18 +338,18 @@ def masked_maxpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
         seq_len = x.shape[1]
 
         def vjp(g):
-            return (kernels.token_maxpool_bwd(g, arg, seq_len),)
+            return kernels.token_maxpool_bwd(g, arg, seq_len)
 
     elif axis == "feature":
         out, arg = kernels.feature_maxpool_fwd(x.data, md)
         dim = x.shape[2]
 
         def vjp(g):
-            return (kernels.feature_maxpool_bwd(g, md, arg, dim),)
+            return kernels.feature_maxpool_bwd(g, md, arg, dim)
 
     else:
         raise ShapeError(f"pooling axis must be 'token' or 'feature', got {axis!r}")
-    return Tensor._result(out, (x,), vjp, "masked_maxpool")
+    return Tensor._result(out, "masked_maxpool", (x, vjp))
 
 
 def masked_avgpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
@@ -369,18 +361,18 @@ def masked_avgpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
         out = kernels.token_avgpool_fwd(x.data, md)
 
         def vjp(g):
-            return (kernels.token_avgpool_bwd(g, md),)
+            return kernels.token_avgpool_bwd(g, md)
 
     elif axis == "feature":
         out = kernels.feature_avgpool_fwd(x.data, md)
         dim = x.shape[2]
 
         def vjp(g):
-            return (kernels.feature_avgpool_bwd(g, md, dim),)
+            return kernels.feature_avgpool_bwd(g, md, dim)
 
     else:
         raise ShapeError(f"pooling axis must be 'token' or 'feature', got {axis!r}")
-    return Tensor._result(out, (x,), vjp, "masked_avgpool")
+    return Tensor._result(out, "masked_avgpool", (x, vjp))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -396,9 +388,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        for operand, _ in node._edges:
+            if id(operand) not in visited:
+                stack.append((operand, False))
     return order
 
 
@@ -407,6 +399,12 @@ def backward(loss: Tensor) -> None:
     the loss depends on; intermediate tensors keep ``grad`` at None. A
     row-sparse gradient (:class:`RowGrad`) is added into the rows it
     covers and leaves every other row of the buffer untouched.
+
+    The walk follows edges only, so it reaches just the tensors that
+    require a gradient, and each edge's vjp forms one gradient that is
+    needed. Reverse topological order runs every consumer of a node
+    before the node, so its adjoint is complete when it is reached; a
+    node without edges is a leaf and adds its adjoint into its buffer.
 
     Repeated calls without zeroing accumulate; the walk itself is
     deterministic, so two runs after a reset equal one run exactly.
@@ -418,16 +416,13 @@ def backward(loss: Tensor) -> None:
     order = _topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
+        g = adjoint.pop(id(node))
+        if not node._edges:
             node._accumulate(g)
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
+        for operand, vjp in node._edges:
+            pg = vjp(g)
+            key = id(operand)
             if key in adjoint:
                 adjoint[key] = adjoint[key] + pg
             else:

@@ -303,8 +303,6 @@ def _train_single(
             adamw_step(params, {name: p.grad for name, p in params.items()}, state, cfg)
             step_count += 1
             lookahead_sync(params, slow, cfg.lookahead_k, cfg.lookahead_alpha, step_count)
-            if model.table is not None:
-                model.table.enforce_pad_zero()
         seconds = time.perf_counter() - started
         epoch_seconds.append(seconds)
 

@@ -122,12 +122,6 @@ class TestEmbed:
         with pytest.raises(DataError, match=r"\(1, 2\)"):
             embed(np.array([[0, 1, 2], [3, 1, 9]]), table)
 
-    def test_enforce_pad_zero(self):
-        table = EmbeddingTable.init(4, 2, np.random.default_rng(0))
-        table.weight.data[PAD_ID] = 5.0
-        table.enforce_pad_zero()
-        assert np.all(table.weight.data[PAD_ID] == 0.0)
-
 
 def dense_embedding_bwd(g, ids, vocab_size, pad_id):
     # the dense kernel that the row-sparse gradient replaced, verbatim; the

@@ -7,6 +7,7 @@ for bit with a zero gradient buffer, and that the shapes it expects are
 the shapes ``init_model`` builds.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -73,6 +74,21 @@ def test_stored_float32_parameter_loads_as_float64(tmp_path):
     expected = model.head.w.data.astype(np.float32).astype(np.float64)
     assert loaded.head.w.data.dtype == np.float64
     assert loaded.head.w.data.tobytes() == expected.tobytes()
+
+
+def test_metadata_bytes_are_pinned(tmp_path):
+    # every SamConfig field off its default; the digest was recorded when the
+    # writer still listed the fields by hand, so key order and values hold
+    cfg = SamConfig(d_model=6, max_len=5, delta=0.2, bottleneck_ratio=8,
+                    order=Order.TAM_THEN_FAM, tam_enabled=False)
+    model = init_model(cfg, 3, "max", np.random.default_rng(4), vocab=Vocab(["a", "b"]))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, extra={"k": 1})
+    with np.load(path) as archive:
+        meta = bytes(archive["__meta__"])
+    assert hashlib.sha256(meta).hexdigest() == (
+        "2b8e903fe7bcd791e32535d85f4889868c63f9c12f2b2e5a12586a59321a4e77"
+    )
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "precomputed"])

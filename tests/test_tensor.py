@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import seqattn.tensor as tensor_module
 from seqattn.errors import ContractError, NumericError, ShapeError
 from seqattn.tensor import (
     Mask,
@@ -220,6 +221,21 @@ class TestBackward:
         x = Tensor(np.ones((4, 3)))
         backward(((x @ w) + b).sum())
         assert b.grad.tolist() == [4.0, 4.0]
+
+    def test_no_gradient_formed_for_a_constant_operand(self, monkeypatch):
+        x = Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
+        c = np.array([0.5, -3.0, 7.25])
+        real, asked = tensor_module._unbroadcast, []
+
+        def spy(grad, shape):
+            asked.append(shape)
+            return real(grad, shape)
+
+        monkeypatch.setattr(tensor_module, "_unbroadcast", spy)
+        backward((x * Tensor(c)).sum())
+        assert (3,) not in asked
+        expected = np.broadcast_to(c, (2, 3))
+        assert x.grad.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestNumericGuards:

@@ -490,9 +490,12 @@ class TestTrainRun:
     def test_pad_embedding_row_stays_zero_after_training(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
         result = train_run(trigger_corpus, cfg, quick_cfg(max_epochs=4))
-        table = result.model.table.weight.data
-        assert np.all(table[0] == 0.0)
-        assert np.any(table[1:] != 0.0)
+        weight = result.model.table.weight
+        # +0.0 with the sign bit clear: the row never gets a gradient, and
+        # nothing re-zeroes it
+        for arr in (weight.data[0], weight.grad[0]):
+            assert np.all(arr == 0.0) and not np.any(np.signbit(arr))
+        assert np.any(weight.data[1:] != 0.0)
 
     def test_dropout_path_runs_and_stays_deterministic(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
