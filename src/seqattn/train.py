@@ -56,6 +56,8 @@ class TrainConfig:
             raise ConfigError("lookahead needs k >= 1 and alpha in [0, 1]")
         if self.folds < 1:
             raise ConfigError(f"folds must be at least 1, got {self.folds}")
+        if self.seed < 0:  # numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -295,9 +295,13 @@ class TestSweepCommand:
      (["sweep-delta", "--grid", "0:1:1e-6"], "more than 1001 points"),
      (["train", "--lr", "nan"], "lr must be positive and finite"),
      (["train", "--lr", "inf"], "lr must be positive and finite"),
-     (["ablate", "--weight-decay", "nan"], "weight decay must be non-negative and finite")],
+     (["ablate", "--weight-decay", "nan"], "weight decay must be non-negative and finite"),
+     (["train", "--seed", "-1"], "seed must be non-negative"),
+     (["ablate", "--seed", "-1"], "seed must be non-negative"),
+     (["sweep-delta", "--seed", "-1"], "seed must be non-negative")],
     ids=["delta", "unknown-setting", "no-setting", "zero-step", "nan-step", "reversed-grid",
-         "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay"],
+         "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay",
+         "negative-seed-train", "negative-seed-ablate", "negative-seed-sweep"],
 )
 def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
     out = tmp_path / "x"

@@ -24,6 +24,11 @@ PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da92
 BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
 MAXPOOL_DIGEST = "62cbca36fcf514cbb3e1426e0868acd8205967dec3c34a0c6c867b55ad6fd23c"
 LONG_TEXTS_DIGEST = "32859ba692b22273682f854774ced7f0af82932a06ec8c5a773544f0bec961b9"
+# SAMEMB1 cases recorded before the first module's pooling of the fixed input
+# moved to encoding and FAM and TAM became one graph node each
+WIDE_DIGEST = "259f9d0c89913758bde1901d1d51e11c0664c4ba8a74adc700eeb7b037ad6267"
+WIDE_TAM_FAM_DIGEST = "a5ef88798e5a1b878ad63776a7ba7b420ef7cd46c2cf938c690be50db068c6d6"
+NO_TAM_FIRST_DIGEST = "6671ae5e4ea072c4f0fe215b863889606b48ad872a2496508b82af1142d36502"
 
 
 def history_digest(path) -> str:
@@ -42,6 +47,20 @@ def write_samemb1(path) -> None:
         label = i % 2
         vectors = rng.normal(size=(int(rng.integers(2, 11)), 8))
         vectors[:, 0] += 1.5 * label
+        seqs.append((vectors, label))
+    store_precomputed(path, seqs)
+
+
+def write_wide_samemb1(path) -> None:
+    """40 records at the benchmark's width, D = 128, of 1 to 160 tokens of
+    N(0, 8^2) values (some cut at L = 128); class 1 shifted along one direction."""
+    rng = np.random.default_rng(17)
+    direction = rng.normal(size=128)
+    seqs = []
+    for i in range(40):
+        label = i % 2
+        vectors = 8.0 * rng.normal(size=(int(rng.integers(1, 161)), 128))
+        vectors += 3.0 * label * direction
         seqs.append((vectors, label))
     store_precomputed(path, seqs)
 
@@ -89,12 +108,30 @@ def train_precomputed(tmp_path) -> list[str]:
     return ["--emb", f"precomputed:{data}", "--dim", "8", "--max-len", "10"]
 
 
+def train_wide(tmp_path) -> list[str]:
+    # numpy sums more than 8 contiguous values pairwise, which width 8 never reaches
+    data = tmp_path / "wide.semb"
+    write_wide_samemb1(data)
+    return ["--emb", f"precomputed:{data}", "--dim", "128", "--max-len", "128"]
+
+
+def train_wide_tam_fam(tmp_path) -> list[str]:
+    # TAM pools the fixed input first, over its 128 features
+    return [*train_wide(tmp_path), "--order", "tam-fam", "--pool", "max", "--dropout", "0.1"]
+
+
+def train_precomputed_no_tam(tmp_path) -> list[str]:
+    return [*train_precomputed(tmp_path), "--no-tam", "--pool", "first"]
+
+
 @pytest.mark.parametrize(
     "inputs, expected",
     [(train_table, TABLE_DIGEST), (train_precomputed, PRECOMPUTED_DIGEST),
      (train_big_table, BIG_TABLE_DIGEST), (train_maxpool, MAXPOOL_DIGEST),
-     (train_long_texts, LONG_TEXTS_DIGEST)],
-    ids=["table", "precomputed", "big-table", "maxpool-tam-fam-dropout", "long-texts"],
+     (train_long_texts, LONG_TEXTS_DIGEST), (train_wide, WIDE_DIGEST),
+     (train_wide_tam_fam, WIDE_TAM_FAM_DIGEST), (train_precomputed_no_tam, NO_TAM_FIRST_DIGEST)],
+    ids=["table", "precomputed", "big-table", "maxpool-tam-fam-dropout", "long-texts",
+         "wide-precomputed", "wide-tam-fam-max-dropout", "precomputed-no-tam-first"],
 )
 def test_training_history_digest(tmp_path, inputs, expected):
     out = tmp_path / "run"
