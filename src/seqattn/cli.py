@@ -316,7 +316,7 @@ def cmd_heatmap(args, parser) -> int:
             raise FormatError(
                 f"embedding width {record.shape[1]} does not match the checkpoint's {model.cfg.d_model}"
             )
-    batch = encode(LabeledCorpus.from_pairs([(record, 0)]), model.vocab, model.cfg.max_len)
+    batch = encode(LabeledCorpus.from_pairs([(record, 0)]), model.vocab, model.cfg)
     # one label per position the encoder kept: an empty text is one <unk>
     length = int(batch.mask[0].sum())
     if model.vocab is not None:

@@ -13,11 +13,21 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import kernels
 from .backbone import EmbeddingTable, Vocab, embed, tokenize
 from .data import LabeledCorpus
 from .errors import FormatError, SeqattnError
 from .head import HeadParams, cross_entropy, init_head, pool_sequence
-from .sam import FfnParams, SamConfig, SamParams, SamTrace, ffn_hidden, init_sam_params, sam_forward
+from .sam import (
+    FfnParams,
+    PooledInput,
+    SamConfig,
+    SamParams,
+    SamTrace,
+    ffn_hidden,
+    init_sam_params,
+    sam_forward,
+)
 from .tensor import Mask, Tensor
 
 
@@ -27,6 +37,7 @@ class Batch:
     labels: np.ndarray  # (B,) int64
     ids: np.ndarray | None = None  # (B, L) int64, table mode
     embs: np.ndarray | None = None  # (B, L, D) float64, precomputed mode
+    pooled: PooledInput | None = None  # the first module's views of embs
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -41,8 +52,16 @@ def encode_texts(corpus: LabeledCorpus, vocab: Vocab, max_len: int) -> Batch:
     return Batch(mask=mask, labels=corpus.labels(), ids=ids)
 
 
-def encode_embeddings(seqs: list[tuple[np.ndarray, int]], max_len: int) -> Batch:
-    """Pad or truncate precomputed per-token vectors to a fixed length."""
+def encode_embeddings(
+    seqs: list[tuple[np.ndarray, int]], max_len: int, pooling: str | None = "token"
+) -> Batch:
+    """Pad or truncate precomputed per-token vectors to a fixed length.
+
+    The vectors are fixed input, so the first module's pooling of them
+    (over ``pooling``: "token" when FAM runs first, the default order,
+    "feature" when TAM does, None for neither) is done here, once, and
+    carried by the batch.
+    """
     if not seqs:
         raise FormatError("cannot batch an empty embedding file")
     dim = seqs[0][0].shape[1]
@@ -50,12 +69,31 @@ def encode_embeddings(seqs: list[tuple[np.ndarray, int]], max_len: int) -> Batch
     embs = np.zeros((n, max_len, dim))
     mask = np.zeros((n, max_len))
     labels = np.zeros(n, dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
     for i, (vectors, label) in enumerate(seqs):
-        length = min(max(len(vectors), 1), max_len)
+        lengths[i] = min(max(len(vectors), 1), max_len)
         embs[i, : len(vectors[:max_len])] = vectors[:max_len]
-        mask[i, :length] = 1.0
+        mask[i, : lengths[i]] = 1.0
         labels[i] = label
-    return Batch(mask=mask, labels=labels, embs=embs)
+    pooled = None if pooling is None else _pool_encoded(embs, mask, lengths, pooling)
+    return Batch(mask=mask, labels=labels, embs=embs, pooled=pooled)
+
+
+def _pool_encoded(embs: np.ndarray, mask: np.ndarray, lengths: np.ndarray, axis: str) -> PooledInput:
+    """The views the pooling kernels give of encoded vectors (zeros after
+    each record's valid prefix), bit for bit and row for row; over tokens
+    without the kernels' (N, L, D) temporaries."""
+    if axis == "feature":
+        return PooledInput(axis, kernels.feature_maxpool_fwd(embs, mask)[0],
+                           kernels.feature_avgpool_fwd(embs, mask))
+    # the kernel's product with the mask leaves encoded vectors as they are
+    mean = embs.sum(axis=1) / mask.sum(axis=1)[:, None]
+    top = np.stack([embs[i, :n].max(axis=0) for i, n in enumerate(lengths)])
+    # a max of zero or NaN has more than one bit pattern, and the kernel
+    # keeps the first valid position's
+    for i in np.flatnonzero(np.any((top == 0.0) | np.isnan(top), axis=1)):
+        top[i] = kernels.token_maxpool_fwd(embs[i : i + 1], mask[i : i + 1])[0][0]
+    return PooledInput(axis, top, mean)
 
 
 def take(batch: Batch, indices: np.ndarray) -> Batch:
@@ -64,6 +102,7 @@ def take(batch: Batch, indices: np.ndarray) -> Batch:
         labels=batch.labels[indices],
         ids=None if batch.ids is None else batch.ids[indices],
         embs=None if batch.embs is None else batch.embs[indices],
+        pooled=None if batch.pooled is None else batch.pooled.take(indices),
     )
 
 
@@ -100,7 +139,7 @@ class Model:
         else:
             x = Tensor(batch.embs)
         mask = Mask(batch.mask)
-        out, trace = sam_forward(x, mask, self.cfg, self.sam)
+        out, trace = sam_forward(x, mask, self.cfg, self.sam, batch.pooled)
         pooled = pool_sequence(out, mask, self.head.pooling)
         if dropout > 0.0 and rng is not None:
             keep = (rng.random(pooled.shape) >= dropout) / (1.0 - dropout)

@@ -11,17 +11,28 @@ token-wise module (TAM) pools over features and normalizes with a masked
 softmax to weight each of the L positions. The composition order is
 configurable and either module can be disabled, which makes ablation runs
 plain configuration changes.
+
+Each module is one graph node. Its map (:func:`fam_map`, :func:`tam_map`)
+runs the per-op forward without recording it and keeps what the per-op
+backward reads; its apply step (:func:`af_fam_apply`, :func:`tam_apply`)
+folds map and product into one node whose vjp is that backward written
+out, adding the input's three gradient terms into one buffer in the order
+the per-op walk adds them. Every gradient keeps the per-op graph's bits.
+A map consumed by anything else is a node of its own with the same
+backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, ShapeError
-from .tensor import Mask, Tensor, masked_avgpool, masked_maxpool, masked_softmax, matmul_ordered
+from .tensor import Mask, Tensor, _check_mask, _unbroadcast, masked_softmax, matmul_ordered, no_grad
 
 
 class Order(str, Enum):
@@ -126,6 +137,11 @@ class SamTrace:
     tam_map: np.ndarray
 
 
+def _check_ffn_input(x: Tensor, p: FfnParams) -> None:
+    if x.data.ndim != 2 or x.shape[1] != p.d_in:
+        raise ShapeError(f"ffn expects (B, {p.d_in}) input, got {x.shape}")
+
+
 def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 on a (B, d_in) batch.
 
@@ -133,17 +149,187 @@ def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
     (see matmul_ordered), so zero-extending both the input and w1 leaves
     existing outputs bit-identical.
     """
-    if x.data.ndim != 2 or x.shape[1] != p.d_in:
-        raise ShapeError(f"ffn expects (B, {p.d_in}) input, got {x.shape}")
+    _check_ffn_input(x, p)
     return (matmul_ordered(x, p.w1) + p.b1).relu() @ p.w2 + p.b2
 
 
-def fam_map(x: Tensor, mask: Mask, p: FfnParams) -> Tensor:
+class PooledInput(NamedTuple):
+    """The first module's two pooled views of a fixed input, computed once:
+    the max and mean over tokens, (N, D) each, when FAM runs first
+    (``axis="token"``), or over features, (N, L) each, when TAM does."""
+
+    axis: str
+    max: np.ndarray
+    mean: np.ndarray
+
+    def take(self, indices: np.ndarray) -> "PooledInput":
+        return PooledInput(self.axis, self.max[indices], self.mean[indices])
+
+
+class _Module:
+    """One pass of a module over its input ``x``: pool two ways over
+    ``axis`` ("token" for FAM, "feature" for TAM), run the shared network on
+    both views, add, and normalize into the map (``out``).
+
+    The forward runs the per-op graph's ops and finite checks without
+    recording a graph, and keeps what that graph's backward reads. Views
+    passed in ``pooled`` stand in for pooling a fixed input (one that
+    needs no gradient); they carry no argmax, which only the input's
+    gradient reads.
+    """
+
+    def __init__(self, x: Tensor, mask: Mask, axis: str, p: FfnParams, pooled=None):
+        _check_mask(x, mask, 3)
+        self.x, self.md, self.axis, self.p = x, mask.data, axis, p
+        self.arg = None
+        fixed = pooled is not None and not x.requires_grad
+        with no_grad():
+            if fixed:
+                vmax = pooled[0]
+            else:
+                vmax, self.arg = getattr(kernels, f"{axis}_maxpool_fwd")(x.data, self.md)
+            vmax = Tensor._result(vmax, "masked_maxpool")
+            vmean = pooled[1] if fixed else getattr(kernels, f"{axis}_avgpool_fwd")(x.data, self.md)
+            vmean = Tensor._result(vmean, "masked_avgpool")
+            _check_ffn_input(vmax, p)
+            # both views through one ordered loop: an output row depends only
+            # on its own input row, so the bits are those of two calls
+            B = vmax.shape[0]
+            first = matmul_ordered(Tensor(np.concatenate([vmax.data, vmean.data])), p.w1).data
+            layers = []
+            for h in (first[:B], first[B:]):
+                pre = Tensor(h) + p.b1
+                hidden = pre.relu()
+                layers.append((pre.data, hidden.data, hidden @ p.w2 + p.b2))
+            logits = layers[0][2] + layers[1][2]
+            out = logits.sigmoid() if axis == "token" else masked_softmax(logits, mask)
+        self.out = out.data
+        self.views = (vmax.data, vmean.data)
+        self.layers = [layer[:2] for layer in layers]
+
+    def grads(self, g_map: np.ndarray, needs: list[bool], input_terms) -> list:
+        """The gradients of the flagged operands among (w1, b1, w2, b2, x),
+        given the map's gradient; ``input_terms`` turns the two views'
+        gradients into the input's.
+
+        This is the per-op graph's backward. A parameter feeds both branches,
+        and its gradient is the sum of the two branch terms, which is the
+        walk's sum: two terms add to the same bits in either order.
+        """
+        s = self.out
+        gz = g_map * s * (1.0 - s) if self.axis == "token" else kernels.masked_softmax_bwd(g_map, s)
+        w1, w2 = self.p.w1.data, self.p.w2.data
+        branches, view_grads = [], []
+        for v, (pre, hidden) in zip(self.views, self.layers):
+            gpre = (gz @ w2.T) * (pre > 0.0)
+            branches.append((v.T @ gpre, gpre.sum(axis=0), hidden.T @ gz, gz.sum(axis=0)))
+            if needs[4]:
+                view_grads.append(gpre @ w1.T)
+        out = [a + b for (a, b), need in zip(zip(*branches), needs) if need]
+        return out + input_terms(*view_grads) if needs[4] else out
+
+    def dense_input_terms(self, g_max, g_mean) -> list[np.ndarray]:
+        """The two pooling vjps, each a dense gradient of the input."""
+        md, arg = self.md, self.arg
+        L, D = self.x.shape[1:]
+        if self.axis == "token":
+            return [kernels.token_maxpool_bwd(g_max, arg, L), kernels.token_avgpool_bwd(g_mean, md)]
+        return [kernels.feature_maxpool_bwd(g_max, md, arg, D), kernels.feature_avgpool_bwd(g_mean, md, D)]
+
+    def add_input_terms(self, adj: np.ndarray, g_max, g_mean) -> list[np.ndarray]:
+        """``(adj + max term) + mean term``, the walk's two dense sums, in place.
+
+        The max term is zero off the argmax, where adding it only turns
+        -0.0 into +0.0; so off the argmax, ``(adj + 0.0) + mean`` equals
+        ``adj + (mean + 0.0)``, one in-place add, and at the argmax the
+        exact sum is formed apart and written back.
+        """
+        B, L, D = adj.shape
+        if self.axis == "token":
+            at = (np.arange(B)[:, None], self.arg, np.arange(D))
+            mean = kernels.token_avgpool_bwd(g_mean, self.md)
+            exact = (adj[at] + g_max) + mean[at]
+        else:
+            at = (np.arange(B)[:, None], np.arange(L), self.arg)
+            mean = ((g_mean * self.md) / D)[:, :, None]
+            exact = (adj[at] + g_max * self.md) + mean[:, :, 0]
+        mean += 0.0  # a buffer of its own
+        adj += mean
+        adj[at] = exact
+        return [adj]
+
+
+def _node(cls, data: np.ndarray, op: str, operands: list[Tensor], backward):
+    """A node of class ``cls`` whose gradients all come from one call
+    ``backward(g, needs)``: ``needs`` flags the operands that require a
+    gradient, and it returns one gradient per flagged operand, in order.
+
+    The walk runs a node's vjps once each per pass, in edge order: the
+    first one calls ``backward`` and the last lets its results go.
+    """
+    needs = [t.requires_grad for t in operands]
+    kept = [t for t in operands if t.requires_grad]
+    held: list = []
+
+    def edge(i):
+        def vjp(g):
+            if i == 0:
+                held[:] = backward(g, needs)
+            grad = held[i]
+            if i == len(kept) - 1:
+                held.clear()
+            return grad
+
+        return vjp
+
+    return cls._result(data, op, *[(t, edge(i)) for i, t in enumerate(kept)])
+
+
+class _ModuleMap(Tensor):
+    """A module's map as a node of its own, holding the module pass so that
+    the module's apply step can fold map and product into one node."""
+
+    __slots__ = ("module",)
+
+
+def _map_node(module: _Module, op: str) -> _ModuleMap:
+    p, x = module.p, module.x
+
+    def backward(g, needs):
+        return module.grads(g, needs, module.dense_input_terms)
+
+    # the input twice: its max term, then its mean term, as the walk adds them
+    node = _node(_ModuleMap, module.out, op, [p.w1, p.b1, p.w2, p.b2, x, x], backward)
+    if not node.requires_grad:  # no graph records it, so no backward reads these
+        module.views = module.layers = module.arg = None
+    node.module = module
+    return node
+
+
+def _module_node(module: _Module, data: np.ndarray, factor: np.ndarray, map_grad) -> Tensor:
+    """The module as one node: ``data`` is ``factor * x``, and ``map_grad``
+    takes the node's gradient to the map's. The input's gradient starts
+    from the product's term, ``g * factor``, in a buffer of its own."""
+    p, x = module.p, module.x
+
+    def backward(g, needs):
+        return module.grads(map_grad(g), needs,
+                            lambda g_max, g_mean: module.add_input_terms(g * factor, g_max, g_mean))
+
+    return _node(Tensor, data, "mul", [p.w1, p.b1, p.w2, p.b2, x], backward)
+
+
+def _module_of(m: Tensor, x: Tensor, axis: str) -> _Module | None:
+    """The module pass whose map ``m`` is, if it pooled ``x`` over ``axis``."""
+    module = getattr(m, "module", None)
+    return module if module is not None and module.x is x and module.axis == axis else None
+
+
+def fam_map(x: Tensor, mask: Mask, p: FfnParams, pooled=None) -> Tensor:
     """Feature gate in (0,1)^(B,D): sigmoid of the shared network applied to
-    the max-pooled and average-pooled token views, summed."""
-    pooled_max = masked_maxpool(x, mask, "token")
-    pooled_avg = masked_avgpool(x, mask, "token")
-    return (ffn_forward(pooled_max, p) + ffn_forward(pooled_avg, p)).sigmoid()
+    the max-pooled and average-pooled token views, summed. ``pooled`` may
+    hold those two views of a fixed ``x``, computed once."""
+    return _map_node(_Module(x, mask, "token", p, pooled), "sigmoid")
 
 
 def af_fam_apply(x: Tensor, m_f: Tensor, delta: float) -> tuple[Tensor, Tensor]:
@@ -152,40 +338,76 @@ def af_fam_apply(x: Tensor, m_f: Tensor, delta: float) -> tuple[Tensor, Tensor]:
     The filtered gate is max(0, m_f - delta), so entries at or below the
     threshold are dropped entirely (zero subgradient there, same convention
     as relu) and the rest are attenuated; it multiplies every token's
-    features, broadcast along the token axis.
+    features, broadcast along the token axis. Applied to the gate
+    :func:`fam_map` computed from ``x``, the result is FAM's one node.
     """
     if not 0.0 <= delta <= 1.0:
         raise ConfigError(f"delta must lie in [0, 1], got {delta}")
-    m_filtered = (m_f - delta).relu()
+    shifted = m_f - delta
+    m_filtered = shifted.relu()
     B, D = m_filtered.shape
-    x_prime = m_filtered.reshape(B, 1, D) * x
-    return x_prime, m_filtered
+    module = _module_of(m_f, x, "token")
+    if module is None:
+        return m_filtered.reshape(B, 1, D) * x, m_filtered
+    gate = m_filtered.data.reshape(B, 1, D)
+
+    def map_grad(g):  # the product's, reshape's, relu's and shift's vjps
+        return _unbroadcast(g * x.data, gate.shape).reshape(B, D) * (shifted.data > 0.0)
+
+    return _module_node(module, gate * x.data, gate, map_grad), m_filtered
 
 
-def tam_map(x_prime: Tensor, mask: Mask, p: FfnParams) -> Tensor:
+def tam_map(x_prime: Tensor, mask: Mask, p: FfnParams, pooled=None) -> Tensor:
     """Token weights in (B, L): masked softmax of the shared network applied
-    to the max-pooled and average-pooled feature views, summed."""
-    pooled_max = masked_maxpool(x_prime, mask, "feature")
-    pooled_avg = masked_avgpool(x_prime, mask, "feature")
-    logits = ffn_forward(pooled_max, p) + ffn_forward(pooled_avg, p)
-    return masked_softmax(logits, mask)
+    to the max-pooled and average-pooled feature views, summed. ``pooled``
+    may hold those two views of a fixed ``x_prime``, computed once."""
+    return _map_node(_Module(x_prime, mask, "feature", p, pooled), "masked_softmax")
 
 
 def tam_apply(x_prime: Tensor, m_t: Tensor) -> Tensor:
-    """Scale each token's feature row by its weight; padded rows become 0."""
+    """Scale each token's feature row by its weight; padded rows become 0.
+    Applied to the weights :func:`tam_map` computed from ``x_prime``, the
+    result is TAM's one node."""
     if m_t.shape != x_prime.shape[:2]:
         raise ShapeError(f"token weights {m_t.shape} do not align with input {x_prime.shape}")
     B, L = m_t.shape
-    return m_t.reshape(B, L, 1) * x_prime
+    module = _module_of(m_t, x_prime, "feature")
+    if module is None:
+        return m_t.reshape(B, L, 1) * x_prime
+    weights = m_t.data.reshape(B, L, 1)
+
+    def map_grad(g):  # the product's and reshape's vjps
+        return _unbroadcast(g * x_prime.data, weights.shape).reshape(B, L)
+
+    return _module_node(module, weights * x_prime.data, weights, map_grad)
+
+
+def _stage_order(cfg: SamConfig) -> list[str]:
+    """The modules that run, "fam" and "tam", in the configured order."""
+    stages = [("fam", cfg.fam_enabled), ("tam", cfg.tam_enabled)]
+    if cfg.order is Order.TAM_THEN_FAM:
+        stages.reverse()
+    return [name for name, enabled in stages if enabled]
+
+
+_POOL_AXIS = {"fam": "token", "tam": "feature"}
+
+
+def first_pooling(cfg: SamConfig) -> str | None:
+    """The axis the first module that runs pools the input over, if any."""
+    order = _stage_order(cfg)
+    return _POOL_AXIS[order[0]] if order else None
 
 
 def sam_forward(
-    x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams
+    x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams, pooled: PooledInput | None = None
 ) -> tuple[Tensor, SamTrace]:
     """Apply the enabled modules in the configured order.
 
     Disabled modules act as the identity. The trace always holds both maps;
-    a disabled module contributes its identity fill.
+    a disabled module contributes its identity fill. ``pooled`` holds the
+    views of a fixed ``x`` that the first module would pool; views over
+    the other axis are not used.
     """
     if x.data.ndim != 3 or x.shape[1] != cfg.max_len or x.shape[2] != cfg.d_model:
         raise ShapeError(
@@ -197,26 +419,23 @@ def sam_forward(
         tam_map=mask.data.copy(),
     )
 
-    def run_fam(t: Tensor) -> Tensor:
-        gate = fam_map(t, mask, params.ffn_f)
+    def run_fam(t: Tensor, views) -> Tensor:
+        gate = fam_map(t, mask, params.ffn_f, views)
         t_prime, filtered = af_fam_apply(t, gate, cfg.delta)
         trace.fam_map = filtered.data.copy()
         return t_prime
 
-    def run_tam(t: Tensor) -> Tensor:
-        weights = tam_map(t, mask, params.ffn_t)
+    def run_tam(t: Tensor, views) -> Tensor:
+        weights = tam_map(t, mask, params.ffn_t, views)
         trace.tam_map = weights.data.copy()
         return tam_apply(t, weights)
 
-    if cfg.order is Order.FAM_THEN_TAM:
-        stages = [(cfg.fam_enabled, run_fam), (cfg.tam_enabled, run_tam)]
-    else:
-        stages = [(cfg.tam_enabled, run_tam), (cfg.fam_enabled, run_fam)]
-
     out = x
-    for enabled, stage in stages:
-        if enabled:
-            out = stage(out)
+    for name in _stage_order(cfg):
+        views = None
+        if out is x and pooled is not None and pooled.axis == _POOL_AXIS[name]:
+            views = (pooled.max, pooled.mean)
+        out = (run_fam if name == "fam" else run_tam)(out, views)
     return out, trace
 
 

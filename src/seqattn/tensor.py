@@ -136,15 +136,15 @@ class Tensor:
 
     # -- graph construction -------------------------------------------------
 
-    @staticmethod
-    def _result(data: np.ndarray, op: str, *edges) -> "Tensor":
+    @classmethod
+    def _result(cls, data: np.ndarray, op: str, *edges) -> "Tensor":
         """The result of operation ``op``, given one ``(operand, vjp)`` edge
         per operand, in operand order. Only the edges whose operand
         requires a gradient are kept (none under :func:`no_grad`), and the
         result requires a gradient when any remain."""
         if not np.all(np.isfinite(data)):
             raise NumericError(f"non-finite values produced by '{op}'")
-        out = Tensor.__new__(Tensor)
+        out = cls.__new__(cls)
         out.data = data
         out.grad = None
         out._edges = tuple([e for e in edges if e[0].requires_grad]) if _grad_enabled else ()
@@ -402,9 +402,10 @@ def backward(loss: Tensor) -> None:
 
     The walk follows edges only, so it reaches just the tensors that
     require a gradient, and each edge's vjp forms one gradient that is
-    needed. Reverse topological order runs every consumer of a node
-    before the node, so its adjoint is complete when it is reached; a
-    node without edges is a leaf and adds its adjoint into its buffer.
+    needed; a node's vjps run once each, in edge order. Reverse
+    topological order runs every consumer of a node before the node, so
+    its adjoint is complete when it is reached; a node without edges is a
+    leaf and adds its adjoint into its buffer.
 
     Repeated calls without zeroing accumulate; the walk itself is
     deterministic, so two runs after a reset equal one run exactly.

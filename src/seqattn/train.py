@@ -18,7 +18,7 @@ from .data import LabeledCorpus, kfold_split, train_dev_indices
 from .backbone import Vocab
 from .errors import ConfigError, DataError, NumericError
 from .model import Batch, Model, encode_embeddings, encode_texts, init_model, take
-from .sam import Order, SamConfig
+from .sam import Order, SamConfig, first_pooling
 from .tensor import Tensor, backward, no_grad
 
 
@@ -328,12 +328,13 @@ def _train_single(
     return best_state, best_report, best_epoch, history, float(np.mean(epoch_seconds))
 
 
-def encode(corpus: LabeledCorpus, vocab: Vocab | None, max_len: int) -> Batch:
+def encode(corpus: LabeledCorpus, vocab: Vocab | None, cfg: SamConfig) -> Batch:
     """The model input of a corpus: token ids through ``vocab`` for texts,
-    padded vectors for ``(L_i, D)`` arrays (no vocabulary)."""
+    padded vectors for ``(L_i, D)`` arrays (no vocabulary), with the views
+    the first module of ``cfg`` pools them into."""
     if vocab is not None:
-        return encode_texts(corpus, vocab, max_len)
-    return encode_embeddings(corpus.records, max_len)
+        return encode_texts(corpus, vocab, cfg.max_len)
+    return encode_embeddings(corpus.records, cfg.max_len, first_pooling(cfg))
 
 
 def train_run(
@@ -371,8 +372,8 @@ def train_run(
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
         vocab = Vocab.build(train_set.texts(), sam_cfg.max_len) if texts else None
         model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
-        train_batch = encode(train_set, vocab, sam_cfg.max_len)
-        dev_batch = encode(dev_set, vocab, sam_cfg.max_len)
+        train_batch = encode(train_set, vocab, sam_cfg)
+        dev_batch = encode(dev_set, vocab, sam_cfg)
         try:
             best_state, report, best_epoch, fold_history, spe = _train_single(
                 model, train_batch, dev_batch, train_cfg, fold, rng, metric
@@ -479,7 +480,7 @@ def delta_sweep(
         cfg = replace(base_cfg, delta=float(delta))
         result = train_run(corpus, cfg, train_cfg, pooling=pooling)
         probe = corpus.subset(range(min(len(corpus), 64)))
-        batch = encode(probe, result.model.vocab, cfg.max_len)
+        batch = encode(probe, result.model.vocab, cfg)
         with no_grad():
             _, trace = result.model.forward(batch)
         points.append(

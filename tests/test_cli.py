@@ -190,6 +190,24 @@ class TestPrecomputedPath:
         assert "2 distinct labels" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # a rejected corpus leaves no empty --out behind
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_non_finite_value_fails_in_the_step(self, tmp_path, capsys, value, command):
+        # encoding pools the vectors once, but only a step checks them
+        rng = np.random.default_rng(3)
+        seqs = [(rng.normal(size=(3, 4)), i % 2) for i in range(40)]
+        seqs[5][0][1, 2] = value
+        data = tmp_path / "bad.semb"
+        store_precomputed(data, seqs)
+        code = run_cli(*command, "--emb", f"precomputed:{data}", "--dim", "4", "--max-len", "4",
+                       "--epochs", "1", "--folds", "2", "--seed", "0", "--out", str(tmp_path / "x"))
+        if command[0] == "ablate":  # a diverged setting is a row of the table
+            assert code == 0
+            assert read_csv(tmp_path / "x" / "ablation.csv")[1][1] == "diverged"
+        else:
+            assert code == 4
+            assert "every fold diverged" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "header", [b"[1, 2]", b'{"num_sequences": 2, "dim": -128}'], ids=["list", "negative-dim"]
     )

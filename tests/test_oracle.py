@@ -1,5 +1,6 @@
 """Property gate for the attention stage: the training path against the
-per-op graph, against finite differences, and under appended padding.
+per-op graph, against finite differences, and under appended padding;
+and the pooled views that encoding computes once against the kernels.
 
 The per-op graph below composes the generic differentiable ops
 (pooling, the shared network, sigmoid, relu, reshape, product, softmax),
@@ -14,14 +15,18 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from seqattn import kernels
 from seqattn.gradcheck import finite_diff_check
 from seqattn.head import POOLING_STRATEGIES, cross_entropy, init_head, pool_sequence
+from seqattn.model import encode_embeddings, take
 from seqattn.sam import (
     Order,
+    PooledInput,
     SamConfig,
     SamParams,
     extend_token_ffn,
     ffn_forward,
+    first_pooling,
     init_sam_params,
     sam_forward,
 )
@@ -94,7 +99,14 @@ def per_op_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams):
 
 
 def training_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams):
-    out, trace = sam_forward(x, mask, cfg, params)
+    """The stage as training runs it: one node per module, and a fixed
+    input's first pooling done ahead of the pass, as encoding does it."""
+    axis = first_pooling(cfg)
+    pooled = None
+    if axis is not None and not x.requires_grad:
+        pooled = PooledInput(axis, getattr(kernels, f"{axis}_maxpool_fwd")(x.data, mask.data)[0],
+                             getattr(kernels, f"{axis}_avgpool_fwd")(x.data, mask.data))
+    out, trace = sam_forward(x, mask, cfg, params, pooled)
     return out, trace.fam_map, trace.tam_map
 
 
@@ -219,3 +231,33 @@ def test_appended_padding_changes_no_bit(point, extra, seed):
     assert fam_map.tobytes() == fam_ext.tobytes()
     assert tam_map.tobytes() == tam_ext[:, :L].tobytes()
     assert np.all(tam_ext[:, L:] == 0.0)
+
+
+# mostly signed zeros below a negative, where a max has two bit patterns to choose from
+values = st.one_of(st.sampled_from([0.0, -0.0, -0.0, 0.0, -1.0]),
+                   st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-3.0, 3.0))
+
+
+@oracle
+@given(
+    lengths=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    dim=st.integers(1, 4),
+    max_len=st.integers(1, 5),
+    data=st.data(),
+)
+def test_encoded_views_are_the_kernels_views(lengths, dim, max_len, data):
+    """Any batch drawn from an encoding carries, row for row, the bits that
+    the pooling kernels give of that batch: signed zeros, NaN and
+    infinities included, records cut at max_len or empty."""
+    seqs = [(np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim), 0)
+            for n in lengths]
+    indices = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=4)))
+    for axis in ("token", "feature"):
+        with np.errstate(invalid="ignore"):  # inf - inf in a mean
+            batch = take(encode_embeddings(seqs, max_len, axis), indices)
+            expected = (getattr(kernels, f"{axis}_maxpool_fwd")(batch.embs, batch.mask)[0],
+                        getattr(kernels, f"{axis}_avgpool_fwd")(batch.embs, batch.mask))
+        assert batch.pooled.axis == axis
+        assert batch.pooled.max.tobytes() == expected[0].tobytes()
+        assert batch.pooled.mean.tobytes() == expected[1].tobytes()
+    assert encode_embeddings(seqs, max_len, None).pooled is None

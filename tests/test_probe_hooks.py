@@ -72,3 +72,23 @@ def test_training_command_runs_through_the_hooks(probe_module, tmp_path, inputs,
     assert calls("train", "model.encode_s") == 2  # the train and dev subsets
     assert calls("step", "model.forward_ms") > 0
     assert calls("step", "train.adamw_step_ms") > 0
+
+
+def test_samemb1_steps_run_the_traced_modules(probe_module, tmp_path):
+    """The stage's traced split stays meaningful on fixed input: each module
+    function and the backward walk run inside the steps, and the fixed
+    input's token pooling does not, since encoding pooled it once."""
+    probe = probe_module.Probe()
+    probe.install_layers()
+    probe.install_clock()
+    try:
+        probe.phase = "train"
+        code = main(["train", *samemb1_inputs(tmp_path), "--dim", "4", "--max-len", "4",
+                     "--epochs", "1", "--folds", "1", "--seed", "0", "--out", str(tmp_path / "run")])
+    finally:
+        probe.uninstall()
+    assert code == 0
+    for metric in ("sam.fam_map_ms", "sam.af_fam_apply_ms", "sam.tam_map_ms", "sam.tam_apply_ms",
+                   "tensor.backward_ms"):
+        assert probe.acc[("step", metric)][2] > 0, metric
+    assert probe.acc[("step", "kernels.token_maxpool_fwd_ms")][2] == 0
