@@ -67,36 +67,22 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seqattn",
-        description="Train and probe the sequential attention re-weighting stage.",
-    )
-    parser.add_argument("--version", action="version", version=f"seqattn {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _add_ablate_flags(sub: argparse.ArgumentParser) -> None:
+    _add_model_flags(sub)
+    sub.add_argument("--settings", help=f"comma list from {list(ABLATION_SETTINGS)}")
 
-    p_train = subs.add_parser("train", help="k-fold training with per-epoch metrics")
-    _add_model_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
 
-    p_ablate = subs.add_parser("ablate", help="train every ablation setting and tabulate")
-    _add_model_flags(p_ablate)
-    p_ablate.add_argument("--settings", help=f"comma list from {list(ABLATION_SETTINGS)}")
-    p_ablate.set_defaults(func=cmd_ablate)
+def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
+    _add_model_flags(sub)
+    sub.add_argument("--grid", default="0.0:0.8:0.05", help="start:stop:step")
 
-    p_sweep = subs.add_parser("sweep-delta", help="train across a threshold grid")
-    _add_model_flags(p_sweep)
-    p_sweep.add_argument("--grid", default="0.0:0.8:0.05", help="start:stop:step")
-    p_sweep.set_defaults(func=cmd_sweep_delta)
 
-    p_heat = subs.add_parser("heatmap", help="export attention maps for one input")
-    p_heat.add_argument("--checkpoint", required=True)
-    p_heat.add_argument("--text", help="raw input text (table-mode checkpoints)")
-    p_heat.add_argument("--data", help="corpus file to pick an example from")
-    p_heat.add_argument("--index", type=int, default=0, help="record index within --data")
-    p_heat.add_argument("--out", required=True, help="output path prefix (.json and .svg)")
-    p_heat.set_defaults(func=cmd_heatmap)
-    return parser
+def _add_heatmap_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--checkpoint", required=True)
+    sub.add_argument("--text", help="raw input text (table-mode checkpoints)")
+    sub.add_argument("--data", help="corpus file to pick an example from")
+    sub.add_argument("--index", type=int, default=0, help="record index within --data")
+    sub.add_argument("--out", required=True, help="output path prefix (.json and .svg)")
 
 
 def _parse_synthetic(spec: str, parser: argparse.ArgumentParser) -> LabeledCorpus:
@@ -350,8 +336,40 @@ def cmd_heatmap(args, parser) -> int:
     return 0
 
 
+# name, help text, flag adder, handler
+COMMANDS = (
+    ("train", "k-fold training with per-epoch metrics", _add_model_flags, cmd_train),
+    ("ablate", "train every ablation setting and tabulate", _add_ablate_flags, cmd_ablate),
+    ("sweep-delta", "train across a threshold grid", _add_sweep_flags, cmd_sweep_delta),
+    ("heatmap", "export attention maps for one input", _add_heatmap_flags, cmd_heatmap),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command gets its subparser, so the top-level help and the
+    invalid-choice error name them all; only ``command`` gets its flags
+    (every command when None). Each ``add_argument`` builds a help
+    formatter that queries the terminal size, so building every command's
+    flags took about a third of a heatmap call's CPU time."""
+    parser = argparse.ArgumentParser(
+        prog="seqattn",
+        description="Train and probe the sequential attention re-weighting stage.",
+    )
+    parser.add_argument("--version", action="version", version=f"seqattn {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_flags, handler in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(sub)
+        sub.set_defaults(func=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # top-level options take no values, so the first word that is not an
+    # option names the command
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         return args.func(args, parser)

@@ -6,7 +6,12 @@ in tests, with no imaging dependency.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities, ``&`` first: the bytes of
+    ``xml.sax.saxutils.escape``, whose import pulls in urllib and the
+    HTTP, email and ssl modules."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def line_chart(

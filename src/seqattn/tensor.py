@@ -84,8 +84,9 @@ class Tensor:
     Only leaves carry a ``.grad`` buffer; results of operations keep
     ``grad`` at None, since nothing reads an intermediate gradient.
     A leaf records the rows that row-sparse gradients wrote into its
-    buffer (``_rows``; None once a dense gradient was added, or before
-    the first clear), so that ``zero_grad`` clears only those rows.
+    buffer (``_rows``; empty for a fresh leaf, whose buffer is all +0.0,
+    and None once a dense gradient was added), so that ``zero_grad``
+    clears only those rows. Writes into ``.grad`` by hand are not recorded.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_rows", "_edges")
@@ -98,7 +99,7 @@ class Tensor:
         # loaded model that only runs forward never does); zeros_like
         # writes every byte up front
         self.grad = np.zeros(self.data.shape) if self.requires_grad else None
-        self._rows: list[np.ndarray] | None = None
+        self._rows: list[np.ndarray] | None = []
         self._edges: tuple[tuple[Tensor, object], ...] = ()
 
     @property
@@ -142,7 +143,7 @@ class Tensor:
         per operand, in operand order. Only the edges whose operand
         requires a gradient are kept (none under :func:`no_grad`), and the
         result requires a gradient when any remain."""
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericError(f"non-finite values produced by '{op}'")
         out = cls.__new__(cls)
         out.data = data
@@ -285,9 +286,9 @@ class Mask:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"mask must be 2-D (B, L), got shape {arr.shape}")
-        if not np.all((arr == 0.0) | (arr == 1.0)):
+        if not ((arr == 0.0) | (arr == 1.0)).all():
             raise ContractError("mask flags must be exactly 0 or 1")
-        if np.any(arr.sum(axis=1) == 0.0):
+        if (arr.sum(axis=1) == 0.0).any():
             raise ContractError("every mask row needs at least one valid position")
         self.data = arr
 
@@ -316,7 +317,7 @@ def _check_mask(x: Tensor, mask: Mask, ndim: int) -> None:
         raise ShapeError(f"expected a {ndim}-D tensor, got shape {x.shape}")
     if x.shape[:2] != mask.shape:
         raise ShapeError(f"tensor {x.shape} does not align with mask {mask.shape}")
-    if np.any(mask.data.sum(axis=1) == 0.0):
+    if (mask.data.sum(axis=1) == 0.0).any():
         raise ContractError("mask row with no valid positions")
 
 

@@ -172,9 +172,9 @@ def adamw_step(
         grad = grads[name]
         written = p._rows if grad is p.grad else None
         if written is None:
-            finite = np.all(np.isfinite(grad))
+            finite = np.isfinite(grad).all()
         else:
-            finite = all(np.all(np.isfinite(grad[rows])) for rows in written)
+            finite = all(np.isfinite(grad[rows]).all() for rows in written)
         if not finite:
             raise NumericError(f"non-finite gradient for parameter '{name}'")
         arrays = (p.data, grad, state.m[name], state.v[name])

@@ -223,7 +223,27 @@ class TestRowSparseGradient:
 
     def test_leaf_without_record_clears_every_row(self):
         table = self.table()
-        table.weight.grad[...] = 3.0  # written outside backward, before any clear
+        # a fresh leaf's record is empty; a dense gradient is what drops it
+        table.weight._accumulate(np.full((self.V, self.D), 3.0))
+        assert table.weight._rows is None
+        table.weight.zero_grad()
+        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+
+    def test_fresh_leaf_starts_with_an_empty_record(self, rng):
+        table = self.table()
+        assert table.weight._rows == []
+        # the first clear writes nothing: the buffer is calloc'd +0.0, and
+        # writing it would make every page of a large table resident
+        table.weight.grad.flags.writeable = False
+        table.weight.zero_grad()
+        table.weight.grad.flags.writeable = True
+        assert table.weight._rows == []
+        ids = self.ids(rng)
+        g = self.upstream(rng, ids.shape + (self.D,))
+        backward(self.weighted(ids, table, g))
+        assert same_bits(table.weight.grad, dense_embedding_bwd(g, ids, self.V, PAD_ID))
+        assert [rows.tolist() for rows in table.weight._rows] == \
+            [sorted(set(ids.reshape(-1).tolist()) - {PAD_ID})]
         table.weight.zero_grad()
         assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
 

@@ -3,11 +3,15 @@ import json
 import os
 import platform
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqattn
 from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
 from seqattn.cli import main
 from seqattn.errors import FormatError
@@ -519,3 +523,15 @@ class TestHeatmapOnSamemb1:
 
 def test_version_flag_exits_cleanly():
     assert run_cli("--version") == 0
+
+
+def test_cli_import_loads_no_http_stack():
+    # xml.sax.saxutils imports urllib.request, which loads http.client,
+    # email, ssl and socket: about 39 ms before any command could start
+    paths = [str(Path(seqattn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = ("import sys, seqattn.cli; print(sorted(m for m in "
+             "('xml.sax', 'http.client', 'email', 'ssl') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

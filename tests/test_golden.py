@@ -8,6 +8,7 @@ on OpenBLAS 0.3 (x86-64); a different BLAS build may round differently,
 in which case re-derive them from the commit before the refactor.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -223,3 +224,85 @@ def test_cli_output_digest(tmp_path, command, files):
                  "--batch", "16", "--lr", "0.05", "--seed", "7", "--out", str(out)]) == 0
     assert {name: output_digest(out / name) for name in files} == \
         {name: CLI_DIGESTS[name] for name in files}
+
+
+# stdout, stderr and exit code of the CLI's help, version and usage errors,
+# recorded with COLUMNS=80 before the parser built flags only for the invoked
+# command: every byte must stay the same.
+EMPTY = hashlib.sha256(b"").hexdigest()
+USAGE_CASES = {
+    "help": (["--help"], 0,
+        "2992133b49daeead917559ab349ec5aef367f4caa061ba63b4ac14b7fe8d0137",
+        EMPTY),
+    "version": (["--version"], 0,
+        "a7d88a55907406272b98ec4d64cfe5483e4dc30cf46f3f3d1c390212553def7e",
+        EMPTY),
+    "train-help": (["train", "--help"], 0,
+        "c79e69b38e60308cc1d778c2d594d864daf4b2973eff78d98c3a7150942599da",
+        EMPTY),
+    "ablate-help": (["ablate", "--help"], 0,
+        "a9e504357f796b564ac5aa4e3e1bc89f7ec4712ab89dd2d9ad1cd3de53291a46",
+        EMPTY),
+    "sweep-delta-help": (["sweep-delta", "--help"], 0,
+        "3b46a202285243703ef965d7a9d795292babeeb0d5ae6a9b0686f16fe6402057",
+        EMPTY),
+    "heatmap-help": (["heatmap", "--help"], 0,
+        "8f68c79356a931cf85e94f3d5cdea28fb72bffe28fb5a6713ff9e8733dd0556c",
+        EMPTY),
+    "train-unknown-flag": (["train", "--out", "o", "--bogus"], 2,
+        EMPTY,
+        "e3482f5ae35e92367b6bde783cc948a4aa21de1736c36539b6b9bb8bdc8cf831"),
+    "ablate-unknown-flag": (["ablate", "--out", "o", "--bogus"], 2,
+        EMPTY,
+        "e3482f5ae35e92367b6bde783cc948a4aa21de1736c36539b6b9bb8bdc8cf831"),
+    "sweep-delta-unknown-flag": (["sweep-delta", "--out", "o", "--bogus"], 2,
+        EMPTY,
+        "e3482f5ae35e92367b6bde783cc948a4aa21de1736c36539b6b9bb8bdc8cf831"),
+    "heatmap-unknown-flag": (["heatmap", "--checkpoint", "c", "--out", "o", "--bogus"], 2,
+        EMPTY,
+        "e3482f5ae35e92367b6bde783cc948a4aa21de1736c36539b6b9bb8bdc8cf831"),
+    "train-unknown-flag-alone": (["train", "--bogus"], 2,
+        EMPTY,
+        "b42150efd4bba6edb41d66392d626eb9721521611985499c4f73d44cfc34e248"),
+    "ablate-unknown-flag-alone": (["ablate", "--bogus"], 2,
+        EMPTY,
+        "c6044cbb3a11e93a12399973c33ebdf229221a5c54742509783fd262c3baf025"),
+    "sweep-delta-unknown-flag-alone": (["sweep-delta", "--bogus"], 2,
+        EMPTY,
+        "b5086fbd786b47b0e2ac2992bcc65dda171c93e7e8443ab94c47d60d1abba70e"),
+    "heatmap-unknown-flag-alone": (["heatmap", "--bogus"], 2,
+        EMPTY,
+        "cd4a638c4b4bef2db753ed94c6bebdc62d6b4b530f19d8ac56f8bb15db32b046"),
+    "train-bad-choice": (["train", "--out", "o", "--pool", "bogus"], 2,
+        EMPTY,
+        "3fe2fc5056ab787296bbb243d95d453adcfd25cb99c8ad6f654a4863d8c2bebc"),
+    "heatmap-bad-int": (["heatmap", "--checkpoint", "c", "--out", "o", "--index", "x"], 2,
+        EMPTY,
+        "a9255fa73bf769c0f0fb4445c895506fa8281406d442d504eaf4a4f9a9e9751a"),
+    "help-before-command": (["--help", "train"], 0,
+        "2992133b49daeead917559ab349ec5aef367f4caa061ba63b4ac14b7fe8d0137",
+        EMPTY),
+    "version-before-command": (["--version", "heatmap"], 0,
+        "a7d88a55907406272b98ec4d64cfe5483e4dc30cf46f3f3d1c390212553def7e",
+        EMPTY),
+    "unknown-command": (["bogus"], 2,
+        EMPTY,
+        "e845027f0563f0bacdbd49ae684905438e3f14edc25e7a31c6a852b1b5490042"),
+    "no-command": ([], 2,
+        EMPTY,
+        "89c753663ba18dcaf7ca89b1406fcb2775e6765952af09271073cfc8782e1877"),
+    "train-no-flags": (["train"], 2,
+        EMPTY,
+        "b42150efd4bba6edb41d66392d626eb9721521611985499c4f73d44cfc34e248"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_CASES))
+def test_usage_output_bytes(monkeypatch, case):
+    argv, code, stdout_digest, stderr_digest = USAGE_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest() == stderr_digest
