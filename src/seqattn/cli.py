@@ -348,7 +348,7 @@ COMMANDS = (
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every command gets its subparser, so the top-level help and the
     invalid-choice error name them all; only ``command`` gets its flags
-    (every command when None). Each ``add_argument`` builds a help
+    (none when None). Each ``add_argument`` builds a help
     formatter that queries the terminal size, so building every command's
     flags took about a third of a heatmap call's CPU time."""
     parser = argparse.ArgumentParser(
@@ -359,7 +359,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_flags, handler in COMMANDS:
         sub = subs.add_parser(name, help=help_text)
-        if command is None or command == name:
+        if command == name:
             add_flags(sub)
         sub.set_defaults(func=handler)
     return parser

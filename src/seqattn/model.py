@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .backbone import EmbeddingTable, Vocab, embed, tokenize
 from .data import LabeledCorpus
-from .errors import FormatError, SeqattnError
+from .errors import ContractError, FormatError, SeqattnError
 from .head import HeadParams, cross_entropy, init_head, pool_sequence
 from .sam import (
     FfnParams,
@@ -37,7 +37,7 @@ class Batch:
     labels: np.ndarray  # (B,) int64
     ids: np.ndarray | None = None  # (B, L) int64, table mode
     embs: np.ndarray | None = None  # (B, L, D) float64, precomputed mode
-    pooled: PooledInput | None = None  # the first module's views of embs
+    pooled: PooledInput | None = None  # FAM's views of embs
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -52,15 +52,12 @@ def encode_texts(corpus: LabeledCorpus, vocab: Vocab, max_len: int) -> Batch:
     return Batch(mask=mask, labels=corpus.labels(), ids=ids)
 
 
-def encode_embeddings(
-    seqs: list[tuple[np.ndarray, int]], max_len: int, pooling: str | None = "token"
-) -> Batch:
+def encode_embeddings(seqs: list[tuple[np.ndarray, int]], max_len: int) -> Batch:
     """Pad or truncate precomputed per-token vectors to a fixed length.
 
-    The vectors are fixed input, so the first module's pooling of them
-    (over ``pooling``: "token" when FAM runs first, the default order,
-    "feature" when TAM does, None for neither) is done here, once, and
-    carried by the batch.
+    The vectors are fixed input, so FAM's pooling of them over tokens is
+    done here, once, and carried by the batch for a pass where FAM runs
+    first, the default order.
     """
     if not seqs:
         raise FormatError("cannot batch an empty embedding file")
@@ -75,17 +72,13 @@ def encode_embeddings(
         embs[i, : len(vectors[:max_len])] = vectors[:max_len]
         mask[i, : lengths[i]] = 1.0
         labels[i] = label
-    pooled = None if pooling is None else _pool_encoded(embs, mask, lengths, pooling)
-    return Batch(mask=mask, labels=labels, embs=embs, pooled=pooled)
+    return Batch(mask=mask, labels=labels, embs=embs, pooled=_pool_encoded(embs, mask, lengths))
 
 
-def _pool_encoded(embs: np.ndarray, mask: np.ndarray, lengths: np.ndarray, axis: str) -> PooledInput:
-    """The views the pooling kernels give of encoded vectors (zeros after
-    each record's valid prefix), bit for bit and row for row; over tokens
-    without the kernels' (N, L, D) temporaries."""
-    if axis == "feature":
-        return PooledInput(axis, kernels.feature_maxpool_fwd(embs, mask)[0],
-                           kernels.feature_avgpool_fwd(embs, mask))
+def _pool_encoded(embs: np.ndarray, mask: np.ndarray, lengths: np.ndarray) -> PooledInput:
+    """The views the token pooling kernels give of encoded vectors (zeros
+    after each record's valid prefix), bit for bit and row for row, without
+    the kernels' (N, L, D) temporaries."""
     # the kernel's product with the mask leaves encoded vectors as they are
     mean = embs.sum(axis=1) / mask.sum(axis=1)[:, None]
     top = np.stack([embs[i, :n].max(axis=0) for i, n in enumerate(lengths)])
@@ -93,7 +86,7 @@ def _pool_encoded(embs: np.ndarray, mask: np.ndarray, lengths: np.ndarray, axis:
     # keeps the first valid position's
     for i in np.flatnonzero(np.any((top == 0.0) | np.isnan(top), axis=1)):
         top[i] = kernels.token_maxpool_fwd(embs[i : i + 1], mask[i : i + 1])[0][0]
-    return PooledInput(axis, top, mean)
+    return PooledInput(top, mean)
 
 
 def take(batch: Batch, indices: np.ndarray) -> Batch:
@@ -133,7 +126,9 @@ class Model:
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, SamTrace]:
         """Logits for a batch; dropout (train mode only) hits the pooled
-        representation, nothing else."""
+        representation, nothing else, and draws its mask from ``rng``."""
+        if dropout > 0.0 and rng is None:
+            raise ContractError(f"dropout {dropout} needs a generator to draw its mask from")
         if batch.ids is not None:
             x = embed(batch.ids, self.table)
         else:
@@ -141,7 +136,7 @@ class Model:
         mask = Mask(batch.mask)
         out, trace = sam_forward(x, mask, self.cfg, self.sam, batch.pooled)
         pooled = pool_sequence(out, mask, self.head.pooling)
-        if dropout > 0.0 and rng is not None:
+        if dropout > 0.0:
             keep = (rng.random(pooled.shape) >= dropout) / (1.0 - dropout)
             pooled = pooled * Tensor(keep)
         logits = pooled @ self.head.w + self.head.b

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, ShapeError
-from .tensor import Mask, Tensor, _check_mask, _unbroadcast, masked_softmax, matmul_ordered, no_grad
+from .tensor import Mask, Tensor, _check_mask, _unbroadcast, masked_softmax, matmul_ordered, no_grad, pool_bwd, pool_fwd
 
 
 class Order(str, Enum):
@@ -154,16 +154,14 @@ def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
 
 
 class PooledInput(NamedTuple):
-    """The first module's two pooled views of a fixed input, computed once:
-    the max and mean over tokens, (N, D) each, when FAM runs first
-    (``axis="token"``), or over features, (N, L) each, when TAM does."""
+    """FAM's two pooled views of a fixed input, computed once: the max and
+    the mean over tokens, (N, D) each."""
 
-    axis: str
     max: np.ndarray
     mean: np.ndarray
 
     def take(self, indices: np.ndarray) -> "PooledInput":
-        return PooledInput(self.axis, self.max[indices], self.mean[indices])
+        return PooledInput(self.max[indices], self.mean[indices])
 
 
 class _Module:
@@ -178,18 +176,18 @@ class _Module:
     gradient reads.
     """
 
-    def __init__(self, x: Tensor, mask: Mask, axis: str, p: FfnParams, pooled=None):
+    def __init__(self, x: Tensor, mask: Mask, axis: str, p: FfnParams, pooled: PooledInput | None = None):
         _check_mask(x, mask, 3)
         self.x, self.md, self.axis, self.p = x, mask.data, axis, p
         self.arg = None
         fixed = pooled is not None and not x.requires_grad
         with no_grad():
             if fixed:
-                vmax = pooled[0]
+                vmax = pooled.max
             else:
-                vmax, self.arg = getattr(kernels, f"{axis}_maxpool_fwd")(x.data, self.md)
+                vmax, self.arg = pool_fwd("max", axis, x.data, self.md)
             vmax = Tensor._result(vmax, "masked_maxpool")
-            vmean = pooled[1] if fixed else getattr(kernels, f"{axis}_avgpool_fwd")(x.data, self.md)
+            vmean = pooled.mean if fixed else pool_fwd("avg", axis, x.data, self.md)
             vmean = Tensor._result(vmean, "masked_avgpool")
             _check_ffn_input(vmax, p)
             # both views through one ordered loop: an output row depends only
@@ -230,11 +228,8 @@ class _Module:
 
     def dense_input_terms(self, g_max, g_mean) -> list[np.ndarray]:
         """The two pooling vjps, each a dense gradient of the input."""
-        md, arg = self.md, self.arg
-        L, D = self.x.shape[1:]
-        if self.axis == "token":
-            return [kernels.token_maxpool_bwd(g_max, arg, L), kernels.token_avgpool_bwd(g_mean, md)]
-        return [kernels.feature_maxpool_bwd(g_max, md, arg, D), kernels.feature_avgpool_bwd(g_mean, md, D)]
+        return [pool_bwd("max", self.axis, g_max, self.md, self.arg, self.x.shape),
+                pool_bwd("avg", self.axis, g_mean, self.md, None, self.x.shape)]
 
     def add_input_terms(self, adj: np.ndarray, g_max, g_mean) -> list[np.ndarray]:
         """``(adj + max term) + mean term``, the walk's two dense sums, in place.
@@ -247,7 +242,7 @@ class _Module:
         B, L, D = adj.shape
         if self.axis == "token":
             at = (np.arange(B)[:, None], self.arg, np.arange(D))
-            mean = kernels.token_avgpool_bwd(g_mean, self.md)
+            mean = pool_bwd("avg", "token", g_mean, self.md, None, adj.shape)
             exact = (adj[at] + g_max) + mean[at]
         else:
             at = (np.arange(B)[:, None], np.arange(L), self.arg)
@@ -325,7 +320,7 @@ def _module_of(m: Tensor, x: Tensor, axis: str) -> _Module | None:
     return module if module is not None and module.x is x and module.axis == axis else None
 
 
-def fam_map(x: Tensor, mask: Mask, p: FfnParams, pooled=None) -> Tensor:
+def fam_map(x: Tensor, mask: Mask, p: FfnParams, pooled: PooledInput | None = None) -> Tensor:
     """Feature gate in (0,1)^(B,D): sigmoid of the shared network applied to
     the max-pooled and average-pooled token views, summed. ``pooled`` may
     hold those two views of a fixed ``x``, computed once."""
@@ -357,11 +352,10 @@ def af_fam_apply(x: Tensor, m_f: Tensor, delta: float) -> tuple[Tensor, Tensor]:
     return _module_node(module, gate * x.data, gate, map_grad), m_filtered
 
 
-def tam_map(x_prime: Tensor, mask: Mask, p: FfnParams, pooled=None) -> Tensor:
+def tam_map(x_prime: Tensor, mask: Mask, p: FfnParams) -> Tensor:
     """Token weights in (B, L): masked softmax of the shared network applied
-    to the max-pooled and average-pooled feature views, summed. ``pooled``
-    may hold those two views of a fixed ``x_prime``, computed once."""
-    return _map_node(_Module(x_prime, mask, "feature", p, pooled), "masked_softmax")
+    to the max-pooled and average-pooled feature views, summed."""
+    return _map_node(_Module(x_prime, mask, "feature", p), "masked_softmax")
 
 
 def tam_apply(x_prime: Tensor, m_t: Tensor) -> Tensor:
@@ -390,24 +384,15 @@ def _stage_order(cfg: SamConfig) -> list[str]:
     return [name for name, enabled in stages if enabled]
 
 
-_POOL_AXIS = {"fam": "token", "tam": "feature"}
-
-
-def first_pooling(cfg: SamConfig) -> str | None:
-    """The axis the first module that runs pools the input over, if any."""
-    order = _stage_order(cfg)
-    return _POOL_AXIS[order[0]] if order else None
-
-
 def sam_forward(
     x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams, pooled: PooledInput | None = None
 ) -> tuple[Tensor, SamTrace]:
     """Apply the enabled modules in the configured order.
 
     Disabled modules act as the identity. The trace always holds both maps;
-    a disabled module contributes its identity fill. ``pooled`` holds the
-    views of a fixed ``x`` that the first module would pool; views over
-    the other axis are not used.
+    a disabled module contributes its identity fill. ``pooled`` holds FAM's
+    views of a fixed ``x``, used when FAM is the first module that runs;
+    TAM always pools inside the pass.
     """
     if x.data.ndim != 3 or x.shape[1] != cfg.max_len or x.shape[2] != cfg.d_model:
         raise ShapeError(
@@ -419,23 +404,16 @@ def sam_forward(
         tam_map=mask.data.copy(),
     )
 
-    def run_fam(t: Tensor, views) -> Tensor:
-        gate = fam_map(t, mask, params.ffn_f, views)
-        t_prime, filtered = af_fam_apply(t, gate, cfg.delta)
-        trace.fam_map = filtered.data.copy()
-        return t_prime
-
-    def run_tam(t: Tensor, views) -> Tensor:
-        weights = tam_map(t, mask, params.ffn_t, views)
-        trace.tam_map = weights.data.copy()
-        return tam_apply(t, weights)
-
     out = x
     for name in _stage_order(cfg):
-        views = None
-        if out is x and pooled is not None and pooled.axis == _POOL_AXIS[name]:
-            views = (pooled.max, pooled.mean)
-        out = (run_fam if name == "fam" else run_tam)(out, views)
+        if name == "fam":
+            gate = fam_map(out, mask, params.ffn_f, pooled if out is x else None)
+            out, filtered = af_fam_apply(out, gate, cfg.delta)
+            trace.fam_map = filtered.data.copy()
+        else:
+            weights = tam_map(out, mask, params.ffn_t)
+            trace.tam_map = weights.data.copy()
+            out = tam_apply(out, weights)
     return out, trace
 
 

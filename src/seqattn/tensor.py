@@ -329,28 +329,33 @@ def masked_softmax(x: Tensor, mask: Mask) -> Tensor:
     return Tensor._result(s, "masked_softmax", (x, lambda g: kernels.masked_softmax_bwd(g, s)))
 
 
+def pool_fwd(kind: str, axis: str, x: np.ndarray, md: np.ndarray):
+    """``kind`` ("max" or "avg") pooling of a (B, L, D) array over ``axis``
+    by its kernel: over valid tokens ("token", to (B, D)) or over features
+    ("feature", to (B, L), zeroed at padding). A max also returns its
+    argmax. Kernels are looked up at call time, so a wrapped one sees
+    every call."""
+    if axis not in ("token", "feature"):
+        raise ShapeError(f"pooling axis must be 'token' or 'feature', got {axis!r}")
+    return getattr(kernels, f"{axis}_{kind}pool_fwd")(x, md)
+
+
+def pool_bwd(kind: str, axis: str, g: np.ndarray, md: np.ndarray, arg, shape) -> np.ndarray:
+    """The dense gradient of the input of :func:`pool_fwd`, of ``shape``,
+    given the view's gradient ``g`` and, for a max, the argmax."""
+    L, D = shape[1:]
+    if axis == "token":
+        return kernels.token_maxpool_bwd(g, arg, L) if kind == "max" else kernels.token_avgpool_bwd(g, md)
+    return kernels.feature_maxpool_bwd(g, md, arg, D) if kind == "max" else kernels.feature_avgpool_bwd(g, md, D)
+
+
 def masked_maxpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
     """Max over valid tokens (axis="token", (B,L,D) -> (B,D)) or over
     features (axis="feature", (B,L,D) -> (B,L), zeroed at padding)."""
     _check_mask(x, mask, 3)
     md = mask.data
-    if axis == "token":
-        out, arg = kernels.token_maxpool_fwd(x.data, md)
-        seq_len = x.shape[1]
-
-        def vjp(g):
-            return kernels.token_maxpool_bwd(g, arg, seq_len)
-
-    elif axis == "feature":
-        out, arg = kernels.feature_maxpool_fwd(x.data, md)
-        dim = x.shape[2]
-
-        def vjp(g):
-            return kernels.feature_maxpool_bwd(g, md, arg, dim)
-
-    else:
-        raise ShapeError(f"pooling axis must be 'token' or 'feature', got {axis!r}")
-    return Tensor._result(out, "masked_maxpool", (x, vjp))
+    out, arg = pool_fwd("max", axis, x.data, md)
+    return Tensor._result(out, "masked_maxpool", (x, lambda g: pool_bwd("max", axis, g, md, arg, x.shape)))
 
 
 def masked_avgpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
@@ -358,22 +363,8 @@ def masked_avgpool(x: Tensor, mask: Mask, axis: str) -> Tensor:
     features (zeroed at padding)."""
     _check_mask(x, mask, 3)
     md = mask.data
-    if axis == "token":
-        out = kernels.token_avgpool_fwd(x.data, md)
-
-        def vjp(g):
-            return kernels.token_avgpool_bwd(g, md)
-
-    elif axis == "feature":
-        out = kernels.feature_avgpool_fwd(x.data, md)
-        dim = x.shape[2]
-
-        def vjp(g):
-            return kernels.feature_avgpool_bwd(g, md, dim)
-
-    else:
-        raise ShapeError(f"pooling axis must be 'token' or 'feature', got {axis!r}")
-    return Tensor._result(out, "masked_avgpool", (x, vjp))
+    out = pool_fwd("avg", axis, x.data, md)
+    return Tensor._result(out, "masked_avgpool", (x, lambda g: pool_bwd("avg", axis, g, md, None, x.shape)))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -18,7 +18,7 @@ from .data import LabeledCorpus, kfold_split, train_dev_indices
 from .backbone import Vocab
 from .errors import ConfigError, DataError, NumericError
 from .model import Batch, Model, encode_embeddings, encode_texts, init_model, take
-from .sam import Order, SamConfig, first_pooling
+from .sam import Order, SamConfig
 from .tensor import Tensor, backward, no_grad
 
 
@@ -330,11 +330,11 @@ def _train_single(
 
 def encode(corpus: LabeledCorpus, vocab: Vocab | None, cfg: SamConfig) -> Batch:
     """The model input of a corpus: token ids through ``vocab`` for texts,
-    padded vectors for ``(L_i, D)`` arrays (no vocabulary), with the views
-    the first module of ``cfg`` pools them into."""
+    padded vectors for ``(L_i, D)`` arrays (no vocabulary), with FAM's
+    views of them."""
     if vocab is not None:
         return encode_texts(corpus, vocab, cfg.max_len)
-    return encode_embeddings(corpus.records, cfg.max_len, first_pooling(cfg))
+    return encode_embeddings(corpus.records, cfg.max_len)
 
 
 def train_run(

@@ -134,10 +134,14 @@ def _kink_margin(model, batch):
         x_prime, _ = af_fam_apply(x, gate, model.cfg.delta)
         ffn_margin(masked_maxpool(x_prime, mask, "feature"), model.sam.ffn_t)
         ffn_margin(masked_avgpool(x_prime, mask, "feature"), model.sam.ffn_t)
-        # argmax ties are folds too: a fill pushes padding far below any max
-        fill = np.where(batch.mask[:, :, None] > 0, x.data, -1e9)
-        margins.append(_top2_gap(fill, axis=1))
-        margins.append(_top2_gap(x_prime.data, axis=2))
+        # argmax ties are folds too, but only between distinct table rows:
+        # positions that hold one id tie forever and move together
+        for row, ids, valid in zip(x.data, batch.ids, batch.mask > 0):
+            _, first = np.unique(ids[valid], return_index=True)
+            if first.size > 1:
+                margins.append(_top2_gap(row[valid][first], axis=0))
+        # padded rows of x' are zeroed after the feature max, so only valid rows can fold
+        margins.append(_top2_gap(x_prime.data[batch.mask > 0], axis=1))
     return min(margins)
 
 

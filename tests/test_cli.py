@@ -13,7 +13,7 @@ import pytest
 
 import seqattn
 from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
-from seqattn.cli import main
+from seqattn.cli import COMMANDS, build_parser, main
 from seqattn.errors import FormatError
 
 
@@ -519,6 +519,13 @@ class TestHeatmapOnSamemb1:
         assert samemb1_heatmap(checkpoint, bad, 1, tmp_path / "h") == 3
         assert f"(byte offset {full.value.offset})" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
+
+
+def test_parser_for_no_command_builds_no_flags():
+    # main passes None only when argv names no command; a command's
+    # required flags would make parsing its bare name fail
+    for name, *_ in COMMANDS:
+        assert sorted(vars(build_parser(None).parse_args([name]))) == ["command", "func"]
 
 
 def test_version_flag_exits_cleanly():

@@ -154,6 +154,10 @@ HEATMAP_DIGESTS = {
     # training saw only past --max-len must keep their vectors
     "long_texts": ("be9f8f125f0708808a1801dd6227b92eb7de5a6de409c64f8f5b0a2bb92af614",
                    "6bc68f79fcdf263b0e3287bc4c8b8775f0fe8d2af2eb8fc228d618dc59e63383"),
+    # recorded while encoding still pooled a SAMEMB1 input over features
+    # for a run whose first module is TAM
+    "precomputed_tam_fam": ("8c0028d3d4b71ad8af101707899d8cb06b1e085c2349eb81cc260bea2297086e",
+                            "5dbac42a2fa3e3935ab30e2b8527307dbed5ac2830b887fde25fd5c8594e7cce"),
 }
 
 
@@ -172,8 +176,14 @@ def heatmap_long_texts(tmp_path) -> tuple[list[str], list[str]]:
     return train_long_texts(tmp_path), ["--text", "w43894 kw w44610 w166 unseen w68247"]
 
 
-@pytest.mark.parametrize("case", [heatmap_table, heatmap_precomputed, heatmap_long_texts],
-                         ids=["table", "precomputed", "long-texts"])
+def heatmap_precomputed_tam_fam(tmp_path) -> tuple[list[str], list[str]]:
+    inputs, heatmap_inputs = heatmap_precomputed(tmp_path)
+    return [*inputs, "--order", "tam-fam"], heatmap_inputs
+
+
+@pytest.mark.parametrize("case", [heatmap_table, heatmap_precomputed, heatmap_long_texts,
+                                  heatmap_precomputed_tam_fam],
+                         ids=["table", "precomputed", "long-texts", "precomputed-tam-fam"])
 def test_heatmap_output_digest(tmp_path, case):
     train_inputs, heatmap_inputs = case(tmp_path)
     out = tmp_path / "run"
@@ -198,6 +208,9 @@ CLI_DIGESTS = {
     "sweep.csv": "c16af4ccd4d3f970ef4d789097f732aad6ff13831848f899da7bdb1dc4a1df1a",
     "sweep.svg": "72a56a89f545b0d18b817d0468a6577ceedb0697e43d1f20431a1a2ef114bbc1",
 }
+# every ablation setting on a SAMEMB1 input, recorded while encoding pooled
+# the input over the axis of whichever module ran first
+PRECOMPUTED_ABLATION_DIGEST = "016b758a4095888bada16c8738dd8bebc6fd9a0d7dce9178b484c9dfcc9f2eb2"
 
 
 def output_digest(path) -> str:
@@ -224,6 +237,13 @@ def test_cli_output_digest(tmp_path, command, files):
                  "--batch", "16", "--lr", "0.05", "--seed", "7", "--out", str(out)]) == 0
     assert {name: output_digest(out / name) for name in files} == \
         {name: CLI_DIGESTS[name] for name in files}
+
+
+def test_precomputed_ablation_digest(tmp_path):
+    out = tmp_path / "run"
+    assert main(["ablate", *train_precomputed(tmp_path), "--epochs", "2", "--folds", "2",
+                 "--batch", "16", "--lr", "0.05", "--seed", "7", "--out", str(out)]) == 0
+    assert output_digest(out / "ablation.csv") == PRECOMPUTED_ABLATION_DIGEST
 
 
 # stdout, stderr and exit code of the CLI's help, version and usage errors,

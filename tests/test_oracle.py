@@ -1,6 +1,7 @@
-"""Property gate for the attention stage: the training path against the
-per-op graph, against finite differences, and under appended padding;
-and the pooled views that encoding computes once against the kernels.
+"""Property gate for the attention stage: the training path and the
+module maps applied by generic ops against the per-op graph, the training
+path against finite differences and under appended padding; and the
+pooled views that encoding computes once against the kernels.
 
 The per-op graph below composes the generic differentiable ops
 (pooling, the shared network, sigmoid, relu, reshape, product, softmax),
@@ -25,10 +26,11 @@ from seqattn.sam import (
     SamConfig,
     SamParams,
     extend_token_ffn,
+    fam_map,
     ffn_forward,
-    first_pooling,
     init_sam_params,
     sam_forward,
+    tam_map,
 )
 from seqattn.tensor import Mask, Tensor, backward, masked_avgpool, masked_maxpool, masked_softmax
 
@@ -69,22 +71,30 @@ def points(draw) -> dict:
     }
 
 
-def per_op_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams):
-    """The stage as one graph node per pooling, layer and product."""
+def per_op_gate(t: Tensor, mask: Mask, p) -> Tensor:
+    return (ffn_forward(masked_maxpool(t, mask, "token"), p)
+            + ffn_forward(masked_avgpool(t, mask, "token"), p)).sigmoid()
+
+
+def per_op_weights(t: Tensor, mask: Mask, p) -> Tensor:
+    return masked_softmax(ffn_forward(masked_maxpool(t, mask, "feature"), p)
+                          + ffn_forward(masked_avgpool(t, mask, "feature"), p), mask)
+
+
+def per_op_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams,
+                 gate_of=per_op_gate, weights_of=per_op_weights):
+    """The stage as one graph node per pooling, layer and product; the
+    maps come from ``gate_of`` and ``weights_of``."""
     B, L, D = x.shape
     maps = {"fam": np.ones((B, D)), "tam": mask.data.copy()}
 
     def fam(t):
-        gate = (ffn_forward(masked_maxpool(t, mask, "token"), params.ffn_f)
-                + ffn_forward(masked_avgpool(t, mask, "token"), params.ffn_f)).sigmoid()
-        filtered = (gate - cfg.delta).relu()
+        filtered = (gate_of(t, mask, params.ffn_f) - cfg.delta).relu()
         maps["fam"] = filtered.data.copy()
         return filtered.reshape(B, 1, D) * t
 
     def tam(t):
-        logits = (ffn_forward(masked_maxpool(t, mask, "feature"), params.ffn_t)
-                  + ffn_forward(masked_avgpool(t, mask, "feature"), params.ffn_t))
-        weights = masked_softmax(logits, mask)
+        weights = weights_of(t, mask, params.ffn_t)
         maps["tam"] = weights.data.copy()
         return weights.reshape(B, L, 1) * t
 
@@ -99,13 +109,12 @@ def per_op_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams):
 
 
 def training_stage(x: Tensor, mask: Mask, cfg: SamConfig, params: SamParams):
-    """The stage as training runs it: one node per module, and a fixed
-    input's first pooling done ahead of the pass, as encoding does it."""
-    axis = first_pooling(cfg)
+    """The stage as training runs it: one node per module, and FAM's
+    pooling of a fixed input done ahead of the pass, as encoding does it."""
     pooled = None
-    if axis is not None and not x.requires_grad:
-        pooled = PooledInput(axis, getattr(kernels, f"{axis}_maxpool_fwd")(x.data, mask.data)[0],
-                             getattr(kernels, f"{axis}_avgpool_fwd")(x.data, mask.data))
+    if not x.requires_grad:
+        pooled = PooledInput(kernels.token_maxpool_fwd(x.data, mask.data)[0],
+                             kernels.token_avgpool_fwd(x.data, mask.data))
     out, trace = sam_forward(x, mask, cfg, params, pooled)
     return out, trace.fam_map, trace.tam_map
 
@@ -134,15 +143,27 @@ def run(stage, point: dict):
     return {"out": out.data, "fam_map": fam_map, "tam_map": tam_map, "loss": loss.data, **grads}
 
 
-@oracle
-@given(point=points())
-def test_training_path_matches_the_per_op_graph_bit_for_bit(point):
-    expected = run(per_op_stage, point)
-    actual = run(training_stage, point)
+def assert_same_bits(actual: dict, expected: dict) -> None:
     assert actual.keys() == expected.keys()
     for name, value in expected.items():
         assert actual[name].shape == value.shape, name
         assert actual[name].tobytes() == value.tobytes(), name
+
+
+@oracle
+@given(point=points())
+def test_training_path_matches_the_per_op_graph_bit_for_bit(point):
+    assert_same_bits(run(training_stage, point), run(per_op_stage, point))
+
+
+@oracle
+@given(point=points())
+def test_maps_applied_by_generic_ops_match_the_per_op_graph_bit_for_bit(point):
+    """Each module's map as a node of its own, consumed by generic ops
+    instead of the module's apply step, on an input that needs a gradient."""
+    point = {**point, "trainable": True}
+    actual = run(lambda *args: per_op_stage(*args, gate_of=fam_map, weights_of=tam_map), point)
+    assert_same_bits(actual, run(per_op_stage, point))
 
 
 def kink_margin(point: dict) -> float:
@@ -247,17 +268,14 @@ values = st.one_of(st.sampled_from([0.0, -0.0, -0.0, 0.0, -1.0]),
 )
 def test_encoded_views_are_the_kernels_views(lengths, dim, max_len, data):
     """Any batch drawn from an encoding carries, row for row, the bits that
-    the pooling kernels give of that batch: signed zeros, NaN and
+    the token pooling kernels give of that batch: signed zeros, NaN and
     infinities included, records cut at max_len or empty."""
     seqs = [(np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim), 0)
             for n in lengths]
     indices = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=4)))
-    for axis in ("token", "feature"):
-        with np.errstate(invalid="ignore"):  # inf - inf in a mean
-            batch = take(encode_embeddings(seqs, max_len, axis), indices)
-            expected = (getattr(kernels, f"{axis}_maxpool_fwd")(batch.embs, batch.mask)[0],
-                        getattr(kernels, f"{axis}_avgpool_fwd")(batch.embs, batch.mask))
-        assert batch.pooled.axis == axis
-        assert batch.pooled.max.tobytes() == expected[0].tobytes()
-        assert batch.pooled.mean.tobytes() == expected[1].tobytes()
-    assert encode_embeddings(seqs, max_len, None).pooled is None
+    with np.errstate(invalid="ignore"):  # inf - inf in a mean
+        batch = take(encode_embeddings(seqs, max_len), indices)
+        expected = (kernels.token_maxpool_fwd(batch.embs, batch.mask)[0],
+                    kernels.token_avgpool_fwd(batch.embs, batch.mask))
+    assert batch.pooled.max.tobytes() == expected[0].tobytes()
+    assert batch.pooled.mean.tobytes() == expected[1].tobytes()

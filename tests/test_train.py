@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seqattn.data import LabeledCorpus, make_synthetic
-from seqattn.errors import ConfigError, NumericError
+from seqattn.errors import ConfigError, ContractError, NumericError
+from seqattn.model import encode_embeddings, init_model
 from seqattn.sam import SamConfig
 from seqattn.tensor import RowGrad, Tensor
 from seqattn import train
@@ -502,6 +503,14 @@ class TestTrainRun:
         a = train_run(trigger_corpus, cfg, quick_cfg(max_epochs=2, dropout=0.3))
         b = train_run(trigger_corpus, cfg, quick_cfg(max_epochs=2, dropout=0.3))
         assert a.mean_metric == b.mean_metric
+
+    def test_dropout_without_a_generator_is_refused(self):
+        model = init_model(SamConfig(d_model=4, max_len=3), 2, "mean", np.random.default_rng(0))
+        batch = encode_embeddings([(np.ones((2, 4)), 0), (np.arange(12.0).reshape(3, 4), 1)], 3)
+        with pytest.raises(ContractError, match="generator"):
+            model.loss(batch, dropout=0.3)
+        model.loss(batch, dropout=0.0)
+        model.loss(batch, dropout=0.3, rng=np.random.default_rng(1))
 
     def test_precomputed_embeddings_path(self):
         cfg = SamConfig(d_model=8, max_len=8)
