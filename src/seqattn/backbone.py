@@ -144,10 +144,9 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
         )
     weight = table.weight
     out = kernels.embedding_fwd(weight.data, ids)
-    vocab_size = table.vocab_size
 
     def vjp(g):
-        rows, values = kernels.embedding_bwd(g, ids, vocab_size, PAD_ID)
+        rows, values = kernels.embedding_bwd(g, ids, PAD_ID)
         return RowGrad(rows, values, weight.shape)
 
     return Tensor._result(out, "embed", (weight, vjp))

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .backbone import load_precomputed, load_precomputed_record, split_text
-from .data import LabeledCorpus, make_synthetic, parse_tsv
+from .data import SYNTHETIC_RULES, LabeledCorpus, make_synthetic, parse_tsv
 from .errors import ConfigError, DataError, FormatError, NumericError, SeqattnError
+from .head import DEFAULT_POOLING, POOLING_STRATEGIES
 from .model import load_checkpoint, save_checkpoint
 from .sam import Order, SamConfig
 from .svg import line_chart, token_heatmap
@@ -41,29 +42,32 @@ from .train import (
 )
 
 
+# each training flag and the TrainConfig field it sets, in usage order;
+# a flag's default and type are the field's
+_TRAIN_FLAGS = (
+    ("--lr", "lr"), ("--weight-decay", "weight_decay"), ("--dropout", "dropout"),
+    ("--epochs", "max_epochs"), ("--batch", "batch_size"), ("--folds", "folds"),
+    ("--lookahead-k", "lookahead_k"), ("--lookahead-alpha", "lookahead_alpha"), ("--seed", "seed"),
+)
+
+
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", help="TSV corpus: one 'label<TAB>text' per line")
     sub.add_argument("--synthetic", metavar="SPEC",
-                     help="synthetic corpus 'rule[:n[:vocab]]', rule is trigger|cooc")
+                     help=f"synthetic corpus 'rule[:n[:vocab]]', rule is {'|'.join(SYNTHETIC_RULES)}")
     sub.add_argument("--emb", default="table",
                      help="'table' (trainable lookup) or 'precomputed:PATH' (SAMEMB1 file)")
     sub.add_argument("--dim", type=int, default=32, help="embedding width D")
     sub.add_argument("--max-len", type=int, default=16, help="padded sequence length L")
     sub.add_argument("--delta", type=float, default=None, help="feature-gate threshold in [0, 1]")
-    sub.add_argument("--order", choices=[o.value for o in Order], default=Order.FAM_THEN_TAM.value)
+    sub.add_argument("--order", choices=[o.value for o in Order], default=SamConfig.order.value)
     sub.add_argument("--no-fam", action="store_true", help="disable the feature-wise module")
     sub.add_argument("--no-tam", action="store_true", help="disable the token-wise module")
-    sub.add_argument("--bottleneck-ratio", type=int, default=4)
-    sub.add_argument("--pool", choices=["mean", "max", "first"], default="mean")
-    sub.add_argument("--lr", type=float, default=0.02)
-    sub.add_argument("--weight-decay", type=float, default=1e-2)
-    sub.add_argument("--dropout", type=float, default=0.0)
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--batch", type=int, default=32)
-    sub.add_argument("--folds", type=int, default=5)
-    sub.add_argument("--lookahead-k", type=int, default=5)
-    sub.add_argument("--lookahead-alpha", type=float, default=0.5)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--bottleneck-ratio", type=int, default=SamConfig.bottleneck_ratio)
+    sub.add_argument("--pool", choices=POOLING_STRATEGIES, default=DEFAULT_POOLING)
+    for flag, name in _TRAIN_FLAGS:
+        default = getattr(TrainConfig, name)  # a dataclass keeps each default on the class
+        sub.add_argument(flag, type=type(default), default=default)
     sub.add_argument("--out", required=True, help="output directory")
 
 
@@ -74,7 +78,7 @@ def _add_ablate_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     _add_model_flags(sub)
-    sub.add_argument("--grid", default="0.0:0.8:0.05", help="start:stop:step")
+    sub.add_argument("--grid", default=":".join(map(str, default_delta_grid.__defaults__)), help="start:stop:step")
 
 
 def _add_heatmap_flags(sub: argparse.ArgumentParser) -> None:
@@ -88,8 +92,8 @@ def _add_heatmap_flags(sub: argparse.ArgumentParser) -> None:
 def _parse_synthetic(spec: str, parser: argparse.ArgumentParser) -> LabeledCorpus:
     parts = spec.split(":")
     rule = parts[0]
-    if rule not in ("trigger", "cooc"):
-        parser.error(f"unknown synthetic rule {rule!r}: use trigger or cooc")
+    if rule not in SYNTHETIC_RULES:
+        parser.error(f"unknown synthetic rule {rule!r}: use {' or '.join(SYNTHETIC_RULES)}")
     try:
         n = int(parts[1]) if len(parts) > 1 else 2000
         vocab = int(parts[2]) if len(parts) > 2 else 50
@@ -144,17 +148,8 @@ def _build_configs(args, parser) -> tuple[SamConfig, TrainConfig]:
         fam_enabled=not args.no_fam,
         tam_enabled=not args.no_tam,
     )
-    train_cfg = TrainConfig(
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        lookahead_k=args.lookahead_k,
-        lookahead_alpha=args.lookahead_alpha,
-        seed=args.seed,
-        folds=args.folds,
-        dropout=args.dropout,
-    )
+    train_cfg = TrainConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
+                               for flag, name in _TRAIN_FLAGS})
     return sam_cfg, train_cfg
 
 
@@ -345,6 +340,17 @@ COMMANDS = (
 )
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser reports a flag it does not know with its own
+    usage, not with the top-level parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every command gets its subparser, so the top-level help and the
     invalid-choice error name them all; only ``command`` gets its flags
@@ -356,7 +362,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Train and probe the sequential attention re-weighting stage.",
     )
     parser.add_argument("--version", action="version", version=f"seqattn {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, help_text, add_flags, handler in COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         if command == name:
@@ -372,7 +378,9 @@ def main(argv=None) -> int:
     parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        # the finite checks catch every overflow; numpy's warnings are noise
+        with np.errstate(all="ignore"):
+            return args.func(args, parser)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
     except ConfigError as exc:

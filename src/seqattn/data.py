@@ -1,9 +1,10 @@
 """Corpus ingestion, fold management, and synthetic corpora.
 
 The on-disk carrier is a TSV with one record per line, ``label<TAB>text``.
-Labels are densified to 0..K-1 in order of first appearance and the
-mapping is kept on the corpus. A record's input is a text, or an
-``(L_i, D)`` float64 array of precomputed token vectors (a SAMEMB1 file).
+Labels are integers, densified by value to 0..K-1 in order of first
+appearance; the mapping is kept on the corpus. A record's input is a text,
+or an ``(L_i, D)`` float64 array of precomputed token vectors (a SAMEMB1
+file).
 Synthetic corpora provide a separable sanity task (a single trigger token
 decides the class) and a harder co-occurrence task that no single-token
 rule can solve.
@@ -20,6 +21,7 @@ from .errors import DataError, FormatError
 
 TRIGGER_TOKEN = 7
 CO_TOKEN = 11
+SYNTHETIC_RULES = ("trigger", "cooc")
 
 
 @dataclass
@@ -54,14 +56,14 @@ class LabeledCorpus:
 
 
 def parse_tsv(path) -> LabeledCorpus:
-    """Read ``label<TAB>text`` lines; CRLF and LF are equivalent."""
+    """Read ``label<TAB>text`` lines; CRLF and LF are equivalent, and so are ``7``, ``07`` and ``+7``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         raw = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc.reason}", offset=exc.start) from None
-    pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[str, int]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -70,10 +72,9 @@ def parse_tsv(path) -> LabeledCorpus:
         raw_label, text = line.split("\t", 1)
         raw_label = raw_label.strip()
         try:
-            int(raw_label)
+            pairs.append((text, int(raw_label)))
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer label {raw_label!r}") from None
-        pairs.append((text, raw_label))
     if not pairs:
         raise FormatError("no records found in TSV file")
     return LabeledCorpus.from_pairs(pairs)
@@ -133,7 +134,7 @@ def make_synthetic(
         raise DataError(f"need at least 10 records, got {n}")
     if vocab_size <= max(TRIGGER_TOKEN, CO_TOKEN) + 1:
         raise DataError(f"vocab_size must exceed {max(TRIGGER_TOKEN, CO_TOKEN) + 1}")
-    if trigger_rule not in ("trigger", "cooc"):
+    if trigger_rule not in SYNTHETIC_RULES:
         raise DataError(f"unknown trigger_rule {trigger_rule!r}")
 
     rng = np.random.default_rng(seed)

@@ -10,13 +10,14 @@ from .errors import ConfigError, ContractError, DataError
 from .tensor import Mask, Tensor, masked_avgpool, masked_maxpool
 
 POOLING_STRATEGIES = ("mean", "max", "first")
+DEFAULT_POOLING = "mean"
 
 
 @dataclass
 class HeadParams:
     w: Tensor  # (D, K)
     b: Tensor  # (K,)
-    pooling: str = "mean"
+    pooling: str = DEFAULT_POOLING
 
     def __post_init__(self):
         if self.pooling not in POOLING_STRATEGIES:
@@ -32,7 +33,7 @@ class HeadParams:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-def init_head(d_model: int, num_classes: int, rng: np.random.Generator, pooling: str = "mean") -> HeadParams:
+def init_head(d_model: int, num_classes: int, rng: np.random.Generator, pooling: str = DEFAULT_POOLING) -> HeadParams:
     bound = np.sqrt(6.0 / (d_model + num_classes))
     return HeadParams(
         w=Tensor(rng.uniform(-bound, bound, size=(d_model, num_classes)), requires_grad=True),

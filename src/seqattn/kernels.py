@@ -7,8 +7,8 @@ reach them as ``kernels.<name>`` so that a kernel can be wrapped by
 attribute (for per-kernel timing) without touching its callers.
 
 All kernels operate on plain float64 arrays; masks are float64 arrays of
-exact 0.0/1.0 flags with shape (B, L). Mask validity (at least one valid
-position per row) is enforced by the caller.
+exact 0.0/1.0 flags with shape (B, L) and at least one valid position
+per row, as :class:`~seqattn.tensor.Mask` checks when it is built.
 """
 
 from __future__ import annotations
@@ -77,17 +77,13 @@ def embedding_fwd(table, ids):
     return table[ids]
 
 
-def embedding_bwd(g, ids, vocab_size, pad_id):
+def embedding_bwd(g, ids, pad_id):
     # row-sparse table gradient: the non-PAD ids that occur, ascending, and
-    # per id the sum of its positions' gradients, added in position order;
-    # bincount finds the ids without the sort that np.unique runs
+    # per id the sum of its positions' gradients, added in position order
     dim = g.shape[2]
     flat = ids.reshape(-1)
     keep = flat != pad_id
-    flat = flat[keep]
-    rows = np.flatnonzero(np.bincount(flat, minlength=vocab_size))
-    slot = np.empty(vocab_size, dtype=np.intp)
-    slot[rows] = np.arange(rows.size)
+    rows, slot = np.unique(flat[keep], return_inverse=True)
     values = np.zeros((rows.size, dim))
-    np.add.at(values, slot[flat], g.reshape(-1, dim)[keep])
+    np.add.at(values, slot, g.reshape(-1, dim)[keep])
     return rows, values

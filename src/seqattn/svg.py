@@ -19,12 +19,10 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 400,
 ) -> str:
-    """One named series of ``(x, y)`` points as a polyline, with axes,
-    min/max tick labels and the name as a legend."""
-    pad = 56
+    """One named series of ``(x, y)`` points as a 640x400 polyline, with
+    axes, min/max tick labels and the name as a legend."""
+    width, height, pad = 640, 400, 56
     name, points = series
     xs = [x for x, _ in points]
     ys = [y for _, y in points]

@@ -277,19 +277,20 @@ class Mask:
     """Per-position validity flags for a padded (B, L) batch.
 
     Flags are exactly 0.0 or 1.0 and every row has at least one valid
-    position; both are checked at construction.
+    position: both are checked once, on a copy that is then read-only.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.array(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"mask must be 2-D (B, L), got shape {arr.shape}")
         if not ((arr == 0.0) | (arr == 1.0)).all():
             raise ContractError("mask flags must be exactly 0 or 1")
         if (arr.sum(axis=1) == 0.0).any():
             raise ContractError("every mask row needs at least one valid position")
+        arr.flags.writeable = False
         self.data = arr
 
     @classmethod
@@ -317,8 +318,6 @@ def _check_mask(x: Tensor, mask: Mask, ndim: int) -> None:
         raise ShapeError(f"expected a {ndim}-D tensor, got shape {x.shape}")
     if x.shape[:2] != mask.shape:
         raise ShapeError(f"tensor {x.shape} does not align with mask {mask.shape}")
-    if (mask.data.sum(axis=1) == 0.0).any():
-        raise ContractError("mask row with no valid positions")
 
 
 def masked_softmax(x: Tensor, mask: Mask) -> Tensor:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .data import LabeledCorpus, kfold_split, train_dev_indices
 from .backbone import Vocab
 from .errors import ConfigError, DataError, NumericError
+from .head import DEFAULT_POOLING
 from .model import Batch, Model, encode_embeddings, encode_texts, init_model, take
 from .sam import Order, SamConfig
 from .tensor import Tensor, backward, no_grad
@@ -24,30 +26,26 @@ from .tensor import Tensor, backward, no_grad
 
 @dataclass
 class TrainConfig:
+    # AdamW's moment decay rates and denominator guard are fixed, not settings
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 0.02
     weight_decay: float = 1e-2
     batch_size: int = 32
     max_epochs: int = 50
     lookahead_k: int = 5
     lookahead_alpha: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     folds: int = 5
     dropout: float = 0.0
 
     def __post_init__(self):
         # written so that NaN fails every check
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not value > 0 or not math.isfinite(value):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not self.lr > 0 or not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not self.weight_decay >= 0 or not math.isfinite(self.weight_decay):
             raise ConfigError(f"weight decay must be non-negative and finite, got {self.weight_decay}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch size and epochs must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -341,7 +339,7 @@ def train_run(
     corpus: LabeledCorpus,
     sam_cfg: SamConfig,
     train_cfg: TrainConfig,
-    pooling: str = "mean",
+    pooling: str = DEFAULT_POOLING,
 ) -> TrainResult:
     """Train one model per fold and keep the best by dev metric.
 
@@ -419,7 +417,7 @@ def ablation_suite(
     base_cfg: SamConfig,
     train_cfg: TrainConfig,
     settings: list[str] | None = None,
-    pooling: str = "mean",
+    pooling: str = DEFAULT_POOLING,
 ) -> list[tuple[str, TrainResult | None]]:
     """One ``(setting, result)`` row per setting, identical seeds throughout;
     the result is None where every fold diverged."""
@@ -467,7 +465,7 @@ def delta_sweep(
     base_cfg: SamConfig,
     train_cfg: TrainConfig,
     deltas: list[float],
-    pooling: str = "mean",
+    pooling: str = DEFAULT_POOLING,
 ) -> list[SweepPoint]:
     """Train once per threshold value with a shared seed; also record the
     largest surviving feature-gate entry seen on a probe batch."""

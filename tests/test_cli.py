@@ -5,6 +5,7 @@ import platform
 import struct
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,8 +14,11 @@ import pytest
 
 import seqattn
 from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
-from seqattn.cli import COMMANDS, build_parser, main
+from seqattn.cli import COMMANDS, _build_configs, build_parser, main
 from seqattn.errors import FormatError
+from seqattn.head import DEFAULT_POOLING
+from seqattn.sam import SamConfig
+from seqattn.train import TrainConfig, default_delta_grid
 
 
 def run_cli(*argv):
@@ -526,6 +530,26 @@ def test_parser_for_no_command_builds_no_flags():
     # required flags would make parsing its bare name fail
     for name, *_ in COMMANDS:
         assert sorted(vars(build_parser(None).parse_args([name]))) == ["command", "func"]
+
+
+def test_default_flags_are_the_library_defaults():
+    for name in ("train", "ablate", "sweep-delta"):
+        parser = build_parser(name)
+        args = parser.parse_args([name, "--synthetic", "trigger", "--out", "o"])
+        assert _build_configs(args, parser) == (SamConfig(d_model=32, max_len=16), TrainConfig())
+        assert args.pool == DEFAULT_POOLING
+    grid = [float(v) for v in args.grid.split(":")]
+    assert default_delta_grid(*grid) == default_delta_grid()
+
+
+def test_overflowing_run_exits_4_without_numpy_warnings(tmp_path):
+    # the finite checks catch the overflow; numpy's warnings about it were noise
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run_cli("train", "--synthetic", "trigger:40", "--dim", "4", "--max-len", "4",
+                       "--epochs", "2", "--folds", "1", "--lr", "1e300", "--out", str(tmp_path / "o"))
+    assert code == 4
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_version_flag_exits_cleanly():

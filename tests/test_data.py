@@ -35,6 +35,13 @@ class TestParseTsv:
         assert corpus.label_mapping == {"2": 0, "5": 1}
         assert [l for _, l in corpus.records] == [0, 1, 0]
 
+    def test_labels_keyed_by_integer_value(self, tmp_path):
+        path = tmp_path / "spelled.tsv"
+        path.write_text("7\ta\n07\tb\n+7\tc\n3\td\n")
+        corpus = parse_tsv(path)
+        assert corpus.label_mapping == {"7": 0, "3": 1}
+        assert [l for _, l in corpus.records] == [0, 0, 0, 1]
+
     def test_non_integer_label_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\tok\npos\tnope\n")

@@ -28,8 +28,7 @@ class TestPoolSequence:
 
     def test_first_requires_valid_leading_position(self):
         x = Tensor(np.zeros((1, 2, 2)))
-        mask = Mask([[1.0, 1.0]])
-        mask.data[0, 0] = 0.0
+        mask = Mask([[0.0, 1.0]])
         with pytest.raises(ContractError):
             pool_sequence(x, mask, "first")
 

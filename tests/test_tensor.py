@@ -109,10 +109,11 @@ class TestMaskedSoftmax:
             assert np.all(out[mask.data == 0.0] == 0.0)
 
     def test_empty_row_is_a_precondition_error(self):
+        # a mask cannot be emptied after its check, so the op need not re-check
         mask = Mask([[1.0, 1.0]])
-        mask.data[0] = 0.0  # bypasses construction checks on purpose
-        with pytest.raises(ContractError):
-            masked_softmax(Tensor([[1.0, 2.0]]), mask)
+        with pytest.raises(ValueError, match="read-only"):
+            mask.data[0] = 0.0
+        assert masked_softmax(Tensor([[1.0, 2.0]]), mask).data.sum() == 1.0
 
 
 class TestMaskedPooling:
@@ -262,6 +263,14 @@ class TestMask:
     def test_rejects_empty_rows(self):
         with pytest.raises(ContractError):
             Mask([[0.0, 0.0], [1.0, 0.0]])
+
+    def test_keeps_a_read_only_copy_of_its_flags(self):
+        flags = np.array([[1.0, 0.0]])
+        mask = Mask(flags)
+        flags[0, 0] = 0.0
+        assert mask.data.tolist() == [[1.0, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            mask.data[0, 1] = 1.0
 
     def test_from_lengths(self):
         mask = Mask.from_lengths([1, 3], 4)
