@@ -180,7 +180,7 @@ def store_precomputed(path, seqs: list[tuple[np.ndarray, int]]) -> None:
 
 def _scan_precomputed(fh) -> tuple[int, list[tuple[int, int, int]]]:
     """Check the magic, the header line and the chain of record headers of
-    an open SAMEMB1 file, seeking past every payload without reading it.
+    an open SAMEMB1 file, skipping every payload without reading it.
 
     Returns the width D and, per record, the byte offset of its payload, its
     length L_i and its label. Damage anywhere in the file raises
@@ -208,12 +208,14 @@ def _scan_precomputed(fh) -> tuple[int, list[tuple[int, int, int]]]:
         raise FormatError(f"negative header field: num_sequences={count}, dim={dim}", offset=offset)
     offset += len(line)
 
+    # each record header is one pread: a buffered seek and read would
+    # refill the handle's whole buffer for its 8 bytes
+    fd = fh.fileno()
     records: list[tuple[int, int, int]] = []
     for _ in range(count):
         if offset + 8 > size:
             raise FormatError("truncated record header", offset=offset)
-        fh.seek(offset)
-        length, label = struct.unpack("<II", fh.read(8))
+        length, label = struct.unpack("<II", os.pread(fd, 8, offset))
         offset += 8
         nbytes = length * dim * 4
         if offset + nbytes > size:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -367,7 +368,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         if command == name:
             add_flags(sub)
-        sub.set_defaults(func=handler)
+        # a handler reports a configuration error with its command's usage
+        sub.set_defaults(func=functools.partial(handler, parser=sub))
     return parser
 
 
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # the finite checks catch every overflow; numpy's warnings are noise
         with np.errstate(all="ignore"):
-            return args.func(args, parser)
+            return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -303,10 +303,6 @@ class Mask:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def counts(self) -> np.ndarray:
-        return self.data.sum(axis=1)
-
     def extended(self, extra: int) -> "Mask":
         """The same mask with `extra` all-padding positions appended."""
         pad = np.zeros((self.data.shape[0], extra))

@@ -4,18 +4,25 @@
 metadata and wraps the loaded arrays as leaves: these tests pin that it
 draws nothing from a random generator, that every parameter comes back bit
 for bit with a zero gradient buffer, and that the shapes it expects are
-the shapes ``init_model`` builds.
+the shapes ``init_model`` builds. Its own .npz reader must give the arrays
+``np.load`` gives, and must refuse every damaged member with exit 3.
 """
 
 import hashlib
+import io
 import json
+import pickle
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
 
 from seqattn.backbone import Vocab
+from seqattn.cli import main
 from seqattn.errors import FormatError
-from seqattn.model import init_model, load_checkpoint, parameter_shapes, save_checkpoint
+from seqattn.model import _member_ends, _read_member, init_model, load_checkpoint, parameter_shapes, save_checkpoint
 from seqattn.sam import Order, SamConfig
 
 CONFIGS = [
@@ -115,3 +122,203 @@ def test_size_stored_as_a_float_is_format_error(tmp_path, field):
     np.savez(path, **arrays)
     with pytest.raises(FormatError, match="metadata does not describe a model"):
         load_checkpoint(path)
+
+
+# -- the .npz reader ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg, table",
+    [(CONFIGS[0], True), (CONFIGS[0], False), (CONFIGS[1], False)],
+    ids=["table", "samemb1", "samemb1-tam-first"],
+)
+def test_arrays_are_np_load_arrays_bit_for_bit(tmp_path, cfg, table):
+    _, path = saved_model(tmp_path, cfg, table)
+    loaded = load_checkpoint(path).parameters()
+    with np.load(path) as archive:
+        for key in archive.files:
+            if key.startswith("param/"):
+                assert_same_array(loaded[key[len("param/"):]].data, archive[key])
+
+
+def test_reader_reads_every_layout_np_save_writes(tmp_path):
+    arrays = {
+        "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        "big-endian": np.arange(5, dtype=">f8") - 2.5,
+        "scalar": np.array(-0.0),
+        "empty": np.zeros((0, 7)),
+        "flags": np.array([True, False]),
+        "ints": np.arange(-3, 3, dtype=np.int16),
+        "float32": np.linspace(0, 1, 9, dtype=np.float32).reshape(3, 3),
+    }
+    path = tmp_path / "layouts.npz"
+    np.savez(path, **arrays)
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive, np.load(path) as reference:
+        ends = _member_ends(archive)
+        for info in archive.infolist():
+            got = _read_member(archive, fh, info, ends[info])
+            assert_same_array(got, reference[info.filename[:-4]])
+
+
+def assert_same_array(got, expected):
+    assert got.tobytes() == expected.tobytes()
+    assert (got.dtype, got.shape, got.strides) == (expected.dtype, expected.shape, expected.strides)
+    assert got.flags.c_contiguous == expected.flags.c_contiguous
+    assert got.flags.writeable and expected.flags.writeable
+
+
+def test_compressed_copy_loads_the_same_model(tmp_path):
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(compressed, **arrays)
+    with zipfile.ZipFile(compressed) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    expected = load_checkpoint(path).parameters()
+    for name, p in load_checkpoint(compressed).parameters().items():
+        assert_same_array(p.data, expected[name].data)
+
+
+@pytest.mark.parametrize("damage", ["encrypted-flag", "corrupt-deflate"])
+def test_member_zipfile_cannot_read_exits_3(tmp_path, capsys, damage):
+    # zipfile raises RuntimeError and zlib.error for these, not BadZipFile
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    if damage == "corrupt-deflate":
+        with np.load(path) as archive:
+            np.savez_compressed(path, **{name: archive[name] for name in archive.files})
+    blob = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("param/embed.table.npy")
+    if damage == "encrypted-flag":
+        # the central directory follows every member, and its entry's name
+        # starts 46 bytes in, 38 bytes after the flags
+        blob[blob.rindex(b"param/embed.table.npy") - 38] |= 0x01
+    else:
+        name_length, extra_length = struct.unpack_from("<2H", blob, info.header_offset + 26)
+        start = info.header_offset + 30 + name_length + extra_length
+        blob[start + 10 : start + 40] = bytes(b ^ 0xFF for b in blob[start + 10 : start + 40])
+    path.write_bytes(bytes(blob))
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/embed.table.npy" in err
+
+
+def member_bytes(path) -> dict[str, bytes]:
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def write_members(path, members: dict[str, bytes]) -> None:
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, blob in members.items():
+            archive.writestr(name, blob)
+
+
+def npy_header(length: int) -> bytes:
+    """The start of an .npy file whose header claims ``length`` bytes."""
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", length)
+
+
+def heatmap_exit_code(path, tmp_path, capsys) -> tuple[int, str]:
+    code = main(["heatmap", "--checkpoint", str(path), "--text", "w1 w2", "--out", str(tmp_path / "h")])
+    return code, capsys.readouterr().err
+
+
+def test_flipped_payload_byte_fails_the_crc(tmp_path, capsys):
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("param/embed.table.npy")
+    blob = bytearray(path.read_bytes())
+    name_length, extra_length = struct.unpack_from("<2H", blob, info.header_offset + 26)
+    start = info.header_offset + 30 + name_length + extra_length  # the .npy bytes
+    data = start + 10 + struct.unpack_from("<H", blob, start + 8)[0]
+    blob[data + 77] ^= 0x10  # one bit of one float: any shape and size check still passes
+    path.write_bytes(bytes(blob))
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/embed.table.npy" in err and "CRC-32" in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated-payload", "its .npy header declares"),
+    ("header-past-entry", "unreadable .npy header"),
+])
+def test_member_shorter_than_its_header_says_exits_3(tmp_path, capsys, damage, message):
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    members = member_bytes(path)
+    blob = members["param/ffn_f.w1.npy"]
+    if damage == "truncated-payload":
+        members["param/ffn_f.w1.npy"] = blob[: len(blob) - 100]
+    else:
+        members["param/ffn_f.w1.npy"] = npy_header(200) + b"{'descr': '<f8', "
+    write_members(path, members)
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/ffn_f.w1.npy" in err and message in err
+
+
+@pytest.mark.parametrize("descr, shape, nbytes", [
+    ("bogus", (3,), 24),
+    ("<f3", (3,), 24),
+    ("M8[xx]", (3,), 24),
+    ("<c16", (3,), 48),
+    # zero-width strings: numpy would allocate a byte or four per element
+    ("|S0", (10**12,), 0),
+    ("<U0", (10**12,), 0),
+])
+def test_member_of_unknown_dtype_exits_3(tmp_path, capsys, descr, shape, nbytes):
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    members = member_bytes(path)
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, {"descr": descr, "fortran_order": False, "shape": shape})
+    members["param/head.b.npy"] = buffer.getvalue() + bytes(nbytes)
+    write_members(path, members)
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/head.b.npy" in err
+
+
+def test_member_overlapping_the_next_exits_3(tmp_path, capsys):
+    # the first parameter's entry is widened over the second's local header
+    # and data, with a CRC-32 and an .npy header that fit the wider bytes:
+    # nested like this, each member would fill its own array from them
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    blob = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        outer, inner = archive.infolist()[1:3]
+    start = outer.header_offset + 30 + sum(struct.unpack_from("<2H", blob, outer.header_offset + 26))
+    inner_start = inner.header_offset + 30 + sum(struct.unpack_from("<2H", blob, inner.header_offset + 26))
+    size = inner_start + inner.compress_size - start
+    header_length = 10 + struct.unpack_from("<H", blob, start + 8)[0]
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "|u1", "fortran_order": False, "shape": (size - header_length,)})
+    assert len(buffer.getvalue()) == header_length
+    blob[start : start + header_length] = buffer.getvalue()
+    entry = blob.rindex(outer.filename.encode()) - 46  # its central directory entry
+    struct.pack_into("<3L", blob, entry + 16, zlib.crc32(blob[start : start + size]), size, size)
+    path.write_bytes(bytes(blob))
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and outer.filename in err and "overlaps" in err
+
+
+@pytest.mark.parametrize("form", ["pickled", "pointer-sized"])
+def test_object_member_is_refused_without_unpickling(tmp_path, capsys, monkeypatch, form):
+    # np.save pickles an object array; a member whose size matches its
+    # object header would otherwise be read as raw object references
+    _, path = saved_model(tmp_path, CONFIGS[0], table=True)
+    members = member_bytes(path)
+    buffer = io.BytesIO()
+    if form == "pickled":
+        np.save(buffer, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(
+            buffer, {"descr": "|O", "fortran_order": False, "shape": (2,)})
+        buffer.write(bytes(range(2 * np.dtype(object).itemsize)))
+    members["param/head.b.npy"] = buffer.getvalue()
+    write_members(path, members)
+
+    def no_unpickling(*args, **kwargs):
+        raise AssertionError("the checkpoint reader unpickled a member")
+
+    monkeypatch.setattr(pickle, "load", no_unpickling)
+    monkeypatch.setattr(pickle, "loads", no_unpickling)
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/head.b.npy" in err and "not booleans or numbers" in err

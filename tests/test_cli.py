@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import platform
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -439,6 +441,23 @@ class TestHeatmapCommand:
             np.savez(bad, **arrays)
         code = run_cli("heatmap", "--checkpoint", str(bad), "--text", "x", "--out", str(tmp_path / "h"))
         assert code == 3
+
+    def test_member_header_larger_than_the_member_is_format_error(self, trained_dir, tmp_path, capsys):
+        # the .npy header of param/head.b declares 7.28 TiB; the archive is
+        # rewritten member by member, so nothing that size is ever allocated
+        with zipfile.ZipFile(trained_dir / "checkpoint.npz") as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+        members["param/head.b.npy"] = header.getvalue() + bytes(16)
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(bad, "w") as archive:
+            for name, blob in members.items():
+                archive.writestr(name, blob)
+        code = run_cli("heatmap", "--checkpoint", str(bad), "--text", "x", "--out", str(tmp_path / "h"))
+        assert code == 3
+        assert "param/head.b.npy" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -250,7 +250,9 @@ def test_precomputed_ablation_digest(tmp_path):
 # recorded with COLUMNS=80 before the parser built flags only for the invoked
 # command: every byte must stay the same. The four "*-unknown-flag" cases were
 # re-recorded when an unknown flag after a command began to print that
-# command's usage instead of the top-level one.
+# command's usage instead of the top-level one. The two "*-config-error"
+# cases, a configuration error found after parsing, were recorded once each
+# command's handler reported with its own parser.
 EMPTY = hashlib.sha256(b"").hexdigest()
 USAGE_CASES = {
     "help": (["--help"], 0,
@@ -316,6 +318,12 @@ USAGE_CASES = {
     "train-no-flags": (["train"], 2,
         EMPTY,
         "b42150efd4bba6edb41d66392d626eb9721521611985499c4f73d44cfc34e248"),
+    "train-config-error": (["train", "--out", "o"], 2,
+        EMPTY,
+        "7464542960cb509458f95072980404683c6942ff7bc55dbbe797bd0fd8bbaa20"),
+    "heatmap-config-error": (["heatmap", "--checkpoint", "c", "--out", "o"], 2,
+        EMPTY,
+        "b82fe9100d10914568366a89291c8ee07e50ee5f1d8f1521819b5b7c4d02bb71"),
 }
 
 

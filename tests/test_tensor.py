@@ -275,4 +275,3 @@ class TestMask:
     def test_from_lengths(self):
         mask = Mask.from_lengths([1, 3], 4)
         assert mask.data.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]]
-        assert mask.counts.tolist() == [1.0, 3.0]
