@@ -120,10 +120,6 @@ class EmbeddingTable:
     def vocab_size(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
 
 def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
     """Gather rows of the table into a (B, L, D) tensor.

@@ -110,7 +110,7 @@ def _resolve_inputs(args, parser) -> tuple[LabeledCorpus, dict[str, str]]:
     (L_i, D) vectors in place of a text."""
     digests: dict[str, str] = {}
     if args.emb.startswith("precomputed:"):
-        if args.data or args.synthetic:
+        if args.data is not None or args.synthetic is not None:
             parser.error("--emb precomputed:PATH carries its own labels; drop --data/--synthetic")
         path = args.emb.split(":", 1)[1]
         digests[path] = _sha256(path)
@@ -121,9 +121,9 @@ def _resolve_inputs(args, parser) -> tuple[LabeledCorpus, dict[str, str]]:
         return corpus, digests
     if args.emb != "table":
         parser.error(f"--emb must be 'table' or 'precomputed:PATH', got {args.emb!r}")
-    if bool(args.data) == bool(args.synthetic):
+    if (args.data is None) == (args.synthetic is None):
         parser.error("exactly one of --data or --synthetic is required")
-    if args.data:
+    if args.data is not None:
         digests[args.data] = _sha256(args.data)
         return parse_tsv(args.data), digests
     return _parse_synthetic(args.synthetic, parser), digests
@@ -225,7 +225,7 @@ def cmd_train(args, parser) -> int:
 def cmd_ablate(args, parser) -> int:
     corpus, digests = _resolve_inputs(args, parser)
     sam_cfg, train_cfg = _build_configs(args, parser)
-    settings = [s.strip() for s in args.settings.split(",") if s.strip()] if args.settings else None
+    settings = None if args.settings is None else [s.strip() for s in args.settings.split(",") if s.strip()]
     rows = ablation_suite(corpus, sam_cfg, train_cfg, settings=settings, pooling=args.pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,12 +278,13 @@ def cmd_sweep_delta(args, parser) -> int:
 
 
 def cmd_heatmap(args, parser) -> int:
-    if bool(args.text) == bool(args.data):
+    # an empty value is given all the same: an empty text is one <unk>
+    if (args.text is None) == (args.data is None):
         parser.error("exactly one of --text or --data is required")
     model = load_checkpoint(args.checkpoint)
 
     if model.vocab is not None:
-        if args.text:
+        if args.text is not None:
             record = args.text
         else:
             corpus = parse_tsv(args.data)
@@ -291,7 +292,7 @@ def cmd_heatmap(args, parser) -> int:
                 raise DataError(f"--index {args.index} outside corpus of {len(corpus)} records")
             record = corpus.records[args.index][0]
     else:
-        if not args.data:
+        if args.data is None:
             parser.error("this checkpoint consumes precomputed embeddings; pass --data SAMEMB1_FILE")
         record, _ = load_precomputed_record(args.data, args.index)
         if record.shape[1] != model.cfg.d_model:

@@ -1,9 +1,9 @@
 """Classifier assembly: embeddings -> attention stage -> pooled linear head.
 
-Also owns batch encoding and the checkpoint format: an .npz archive (a
-zip of .npy members, as ``np.savez`` writes it) of parameter arrays plus
-one JSON metadata entry. The loader reads each member straight into its
-array and checks the member's CRC-32 itself.
+Also owns batch encoding and the checkpoint format: an .npz archive of
+float64 parameter arrays and one JSON metadata entry, each stored as a
+C-order .npy 1.0 member, as ``np.savez`` writes it. The loader accepts only
+that layout, reads each member into its array and checks its CRC-32 itself.
 """
 
 from __future__ import annotations
@@ -213,19 +213,15 @@ def parameter_shapes(
 def _checked_leaves(
     arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
 ) -> dict[str, Tensor]:
-    """The stored arrays as float64 leaves, once their names, shapes and
-    dtypes match the model the metadata describes."""
+    """The stored float64 arrays as native-order leaves, once their names
+    and shapes match the model the metadata describes."""
     if set(shapes) != set(arrays):
         raise FormatError(
             f"checkpoint parameters {sorted(arrays)} do not match the configured model {sorted(shapes)}"
         )
     for name, shape in shapes.items():
-        arr = arrays[name]
-        if arr.shape != shape or arr.dtype.kind not in "biuf":
-            raise FormatError(
-                f"checkpoint parameter '{name}' holds {arr.dtype} of shape {arr.shape}, "
-                f"expected float64 of shape {shape}"
-            )
+        if arrays[name].shape != shape:
+            raise FormatError(f"checkpoint parameter '{name}' has shape {arrays[name].shape}, expected {shape}")
     return {
         name: Tensor(np.ascontiguousarray(arr, dtype=np.float64), requires_grad=True)
         for name, arr in arrays.items()
@@ -235,51 +231,12 @@ def _checked_leaves(
 # a zip local file header: signature, versions, flags, method, time, date,
 # CRC-32, both sizes, then the lengths of the name and the extra field
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
-_NPY_V1 = b"\x93NUMPY\x01\x00"  # magic and version
 # the header dict of an .npy file, in the key order and spacing numpy writes
 _NPY_HEADER = re.compile(
     rb"\{'descr': '([^']+)', 'fortran_order': (False|True), 'shape': \((\d+(?:, \d+)*,?)?\), \} *\n"
 )
-_INFLATE_CHUNK = 1 << 18  # bytes a compressed member is read in at a time
-
-
-def _read_npy(stream, name: str, size: int, chunk: int, crc: int | None) -> np.ndarray:
-    """The array of the ``size``-byte .npy member ``name``, read from
-    ``stream`` into the array's own memory ``chunk`` bytes at a time.
-
-    The header must name a boolean or numeric dtype, the only kinds a model
-    holds, and its byte count must be the member's before anything is
-    allocated; the member must hold a CRC-32 of ``crc`` unless that is None.
-    The header is matched by a regular expression: numpy's own reader parses
-    it with ``ast.literal_eval``, about ten times as slow.
-    """
-    head = stream.read(10)
-    if head[:8] != _NPY_V1:  # np.savez writes version 2 or 3 only for headers no model has
-        raise FormatError(f"checkpoint member {name!r} is not a version 1.0 .npy array")
-    head += stream.read(int.from_bytes(head[8:], "little"))
-    match = _NPY_HEADER.fullmatch(head, 10)
-    if match is None:
-        raise FormatError(f"checkpoint member {name!r} has an unreadable .npy header")
-    try:
-        dtype = np.dtype(match[1].decode("latin-1"))
-    except TypeError:
-        raise FormatError(f"checkpoint member {name!r} names no numpy dtype") from None
-    if dtype.kind not in "biuf":  # objects would need unpickling
-        raise FormatError(f"checkpoint member {name!r} holds {dtype}, not booleans or numbers")
-    shape = tuple(int(v) for v in (match[3] or b"").split(b",") if v)
-    nbytes = math.prod(shape) * dtype.itemsize
-    if len(head) + nbytes != size:
-        raise FormatError(f"checkpoint member {name!r} holds {size - len(head)} bytes of data, "
-                          f"its .npy header declares {nbytes}")
-    flat = np.empty(math.prod(shape), dtype)
-    raw = flat.view(np.uint8)
-    for start in range(0, nbytes, chunk):
-        piece = raw[start : start + chunk]
-        if stream.readinto(piece) != len(piece):
-            raise FormatError(f"checkpoint member {name!r} is truncated")
-    if crc is not None and zlib.crc32(raw, zlib.crc32(head)) != crc:
-        raise FormatError(f"checkpoint member {name!r} fails its CRC-32 check")
-    return flat.reshape(shape[::-1]).T if match[2] == b"True" else flat.reshape(shape)
+# what save_checkpoint writes: float64 parameters (either byte order), JSON bytes
+PARAM_DTYPES, META_DTYPES = ("<f8", ">f8"), ("|u1",)
 
 
 def _member_ends(archive: zipfile.ZipFile) -> dict[zipfile.ZipInfo, int]:
@@ -294,19 +251,18 @@ def _member_ends(archive: zipfile.ZipFile) -> dict[zipfile.ZipInfo, int]:
     return ends
 
 
-def _read_member(archive: zipfile.ZipFile, fh, info: zipfile.ZipInfo, end: int) -> np.ndarray:
-    """The array a member of ``archive``, open on ``fh``, holds.
-
-    Every member first passes the checks zipfile makes on opening one, and
-    its data must end by ``end`` (see :func:`_member_ends`). A stored member
-    is then read here in one call; a compressed one goes through zipfile's
-    own reader, which checks its CRC-32 once the last byte is read.
-    """
+def _member_layout(fh, info: zipfile.ZipInfo, end: int, dtypes: tuple[str, ...]) -> tuple[bytes, np.dtype, tuple]:
+    """The .npy header bytes, dtype and shape of member ``info`` of the zip
+    open on ``fh``, which is left at the member's first data byte. The member
+    must be stored uncompressed, end by ``end`` (:func:`_member_ends`) and
+    hold a version 1.0 .npy array in C order of one of ``dtypes`` whose byte
+    count is the member's; nothing is allocated for the data. A regular
+    expression reads the header ten times as fast as numpy's parser."""
     name = info.filename
     if info.flag_bits & 0x61:  # encrypted, compressed patched data, strong encryption
         raise FormatError(f"checkpoint member {name!r} is encrypted or patched")
-    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-        raise FormatError(f"checkpoint member {name!r} uses compression method {info.compress_type}")
+    if info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size:
+        raise FormatError(f"checkpoint member {name!r} is not stored uncompressed (method {info.compress_type})")
     fh.seek(info.header_offset)
     local = fh.read(_LOCAL_HEADER.size)
     if len(local) != _LOCAL_HEADER.size or local[:4] != b"PK\x03\x04":
@@ -316,29 +272,48 @@ def _read_member(archive: zipfile.ZipFile, fh, info: zipfile.ZipInfo, end: int) 
     if stored_name != info.orig_filename:
         raise FormatError(f"checkpoint member {name!r} is named {stored_name!r} in its local header")
     fh.seek(fields[11], 1)
-    if fh.tell() + info.compress_size > end:
+    if fh.tell() + info.file_size > end:
         raise FormatError(f"checkpoint member {name!r} overlaps the next member or the central directory")
-    if info.compress_type == zipfile.ZIP_DEFLATED:
-        # deflate spends at least 2 bits on a 258-byte match: 1032 bytes per byte at most
-        if info.file_size > 1032 * info.compress_size:
-            raise FormatError(f"checkpoint member {name!r} cannot inflate to {info.file_size} bytes")
-        try:
-            with archive.open(info) as stream:
-                return _read_npy(stream, name, info.file_size, _INFLATE_CHUNK, None)
-        except zlib.error as exc:
-            raise FormatError(f"checkpoint member {name!r} does not inflate: {exc}") from None
-    if info.compress_size != info.file_size:
-        raise FormatError(f"checkpoint member {name!r} is stored with two different sizes")
-    return _read_npy(fh, name, info.file_size, max(info.file_size, 1), info.CRC)
+    head = fh.read(10)
+    head_size = 10 + int.from_bytes(head[8:], "little")
+    if head[:8] != b"\x93NUMPY\x01\x00" or head_size > info.file_size:  # magic, version 1.0
+        raise FormatError(f"checkpoint member {name!r} has no version 1.0 .npy header within its bytes")
+    head += fh.read(head_size - 10)
+    match = _NPY_HEADER.fullmatch(head, 10)
+    if match is None:
+        raise FormatError(f"checkpoint member {name!r} has an unreadable .npy header")
+    descr, order = match[1].decode("latin-1"), "Fortran" if match[2] == b"True" else "C"
+    if descr not in dtypes or order != "C":  # objects would need unpickling
+        raise FormatError(f"checkpoint member {name!r} holds {descr} in {order} order, "
+                          f"not {' or '.join(dtypes)} in C order")
+    dtype, shape = np.dtype(descr), tuple(int(v) for v in (match[3] or b"").split(b",") if v)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if head_size + nbytes != info.file_size:
+        raise FormatError(f"checkpoint member {name!r} holds {info.file_size - head_size} bytes of data, "
+                          f"its .npy header declares {nbytes}")
+    return head, dtype, shape
+
+
+def _read_member(fh, info: zipfile.ZipInfo, end: int, dtypes: tuple[str, ...]) -> np.ndarray:
+    """The array of member ``info``, once :func:`_member_layout` accepts it,
+    read with one call into its own memory and checked by its CRC-32."""
+    head, dtype, shape = _member_layout(fh, info, end, dtypes)
+    flat = np.empty(math.prod(shape), dtype)
+    raw = flat.view(np.uint8)
+    if fh.readinto(raw) != len(raw):
+        raise FormatError(f"checkpoint member {info.filename!r} is truncated")
+    if zlib.crc32(raw, zlib.crc32(head)) != info.CRC:
+        raise FormatError(f"checkpoint member {info.filename!r} fails its CRC-32 check")
+    return flat.reshape(shape)
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild the model a checkpoint holds, straight from its arrays.
 
-    The metadata fixes every parameter's name and shape. Each stored member
-    is read once, into the array that becomes the model's leaf, and its
-    CRC-32 is checked; no random initialisation is drawn, and a float64
-    array is not copied after it is read.
+    Only the layout :func:`save_checkpoint` writes is accepted (see
+    :func:`_member_layout`), and the metadata fixes every parameter's name and
+    shape. Each member is read once, into the array that becomes the model's
+    leaf, and its CRC-32 is checked; no random initialisation is drawn.
     """
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
@@ -346,9 +321,9 @@ def load_checkpoint(path) -> Model:
             members = {info.filename.removesuffix(".npy"): info for info in archive.infolist()}
             ends = _member_ends(archive)
             meta_info = members["__meta__"]
-            meta = json.loads(bytes(_read_member(archive, fh, meta_info, ends[meta_info])).decode())
+            meta = json.loads(bytes(_read_member(fh, meta_info, ends[meta_info], META_DTYPES)).decode())
             arrays = {
-                name[len("param/"):]: _read_member(archive, fh, info, ends[info])
+                name[len("param/"):]: _read_member(fh, info, ends[info], PARAM_DTYPES)
                 for name, info in members.items()
                 if name.startswith("param/")
             }

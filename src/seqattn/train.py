@@ -9,6 +9,7 @@ over configuration variants with shared seeds, so rows are comparable.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -19,7 +20,7 @@ from .data import LabeledCorpus, kfold_split, train_dev_indices
 from .backbone import Vocab
 from .errors import ConfigError, DataError, NumericError
 from .head import DEFAULT_POOLING
-from .model import Batch, Model, encode_embeddings, encode_texts, init_model, take
+from .model import Batch, Model, encode_embeddings, encode_texts, init_model, parameter_shapes, take
 from .sam import Order, SamConfig
 from .tensor import Tensor, backward, no_grad
 
@@ -335,6 +336,14 @@ def encode(corpus: LabeledCorpus, vocab: Vocab | None, cfg: SamConfig) -> Batch:
     return encode_embeddings(corpus.records, cfg.max_len)
 
 
+def run_bytes(shapes: dict[str, tuple[int, ...]], rows: int, row_values: int) -> int:
+    """A lower bound on the bytes a training run holds at once: five float64
+    copies of each parameter of ``shapes`` (weights, gradient, AdamW's two
+    moments, lookahead's slow copy) and ``rows`` encoded training records
+    of ``row_values`` 8-byte values each."""
+    return 8 * (5 * sum(math.prod(shape) for shape in shapes.values()) + rows * row_values)
+
+
 def train_run(
     corpus: LabeledCorpus,
     sam_cfg: SamConfig,
@@ -369,6 +378,12 @@ def train_run(
         rng = np.random.default_rng([train_cfg.seed, fold])
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
         vocab = Vocab.build(train_set.texts(), sam_cfg.max_len) if texts else None
+        shapes = parameter_shapes(sam_cfg, corpus.num_classes, None if vocab is None else len(vocab))
+        # a text position encodes as an id and a mask flag, a vector as D values and a flag
+        need = run_bytes(shapes, len(train_idx), sam_cfg.max_len * (2 if texts else sam_cfg.d_model + 1))
+        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise ConfigError(f"d_model={sam_cfg.d_model} and max_len={sam_cfg.max_len} need at least "
+                              f"{need / 2**30:.3g} GiB, more than this machine's physical memory")
         model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
         train_batch = encode(train_set, vocab, sam_cfg)
         dev_batch = encode(dev_set, vocab, sam_cfg)

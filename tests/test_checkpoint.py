@@ -5,7 +5,8 @@ metadata and wraps the loaded arrays as leaves: these tests pin that it
 draws nothing from a random generator, that every parameter comes back bit
 for bit with a zero gradient buffer, and that the shapes it expects are
 the shapes ``init_model`` builds. Its own .npz reader must give the arrays
-``np.load`` gives, and must refuse every damaged member with exit 3.
+``np.load`` gives for the layout ``save_checkpoint`` writes, and must refuse
+every other layout and every damaged member with exit 3.
 """
 
 import hashlib
@@ -22,7 +23,14 @@ import pytest
 from seqattn.backbone import Vocab
 from seqattn.cli import main
 from seqattn.errors import FormatError
-from seqattn.model import _member_ends, _read_member, init_model, load_checkpoint, parameter_shapes, save_checkpoint
+from seqattn.model import (
+    META_DTYPES,
+    PARAM_DTYPES,
+    init_model,
+    load_checkpoint,
+    parameter_shapes,
+    save_checkpoint,
+)
 from seqattn.sam import Order, SamConfig
 
 CONFIGS = [
@@ -71,16 +79,15 @@ def test_load_draws_nothing_from_a_random_generator(tmp_path, monkeypatch, table
     load_checkpoint(path)
 
 
-def test_stored_float32_parameter_loads_as_float64(tmp_path):
-    model, path = saved_model(tmp_path, CONFIGS[1], table=False)
+def test_big_endian_parameter_loads_the_same_values(tmp_path):
+    model, path = saved_model(tmp_path, CONFIGS[1], table=True)
     with np.load(path) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    arrays["param/head.w"] = arrays["param/head.w"].astype(np.float32)
+    arrays["param/embed.table"] = arrays["param/embed.table"].astype(">f8")
     np.savez(path, **arrays)
-    loaded = load_checkpoint(path)
-    expected = model.head.w.data.astype(np.float32).astype(np.float64)
-    assert loaded.head.w.data.dtype == np.float64
-    assert loaded.head.w.data.tobytes() == expected.tobytes()
+    loaded = load_checkpoint(path).table.weight.data
+    assert loaded.dtype == np.float64 and loaded.dtype.isnative and loaded.flags.c_contiguous
+    assert loaded.tobytes() == model.table.weight.data.tobytes()
 
 
 def test_metadata_bytes_are_pinned(tmp_path):
@@ -141,23 +148,18 @@ def test_arrays_are_np_load_arrays_bit_for_bit(tmp_path, cfg, table):
                 assert_same_array(loaded[key[len("param/"):]].data, archive[key])
 
 
-def test_reader_reads_every_layout_np_save_writes(tmp_path):
-    arrays = {
-        "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
-        "big-endian": np.arange(5, dtype=">f8") - 2.5,
-        "scalar": np.array(-0.0),
-        "empty": np.zeros((0, 7)),
-        "flags": np.array([True, False]),
-        "ints": np.arange(-3, 3, dtype=np.int16),
-        "float32": np.linspace(0, 1, 9, dtype=np.float32).reshape(3, 3),
-    }
-    path = tmp_path / "layouts.npz"
-    np.savez(path, **arrays)
-    with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive, np.load(path) as reference:
-        ends = _member_ends(archive)
+@pytest.mark.parametrize("table", [True, False], ids=["table", "precomputed"])
+def test_save_checkpoint_writes_only_the_layout_the_reader_accepts(tmp_path, table):
+    # read with numpy's own header parser, not the reader's
+    _, path = saved_model(tmp_path, CONFIGS[1], table)
+    with zipfile.ZipFile(path) as archive:
         for info in archive.infolist():
-            got = _read_member(archive, fh, info, ends[info])
-            assert_same_array(got, reference[info.filename[:-4]])
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename
+            with archive.open(info) as stream:
+                assert np.lib.format.read_magic(stream) == (1, 0), info.filename
+                _, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+            assert not fortran_order, info.filename
+            assert dtype.str in (META_DTYPES if info.filename == "__meta__.npy" else PARAM_DTYPES)
 
 
 def assert_same_array(got, expected):
@@ -167,37 +169,42 @@ def assert_same_array(got, expected):
     assert got.flags.writeable and expected.flags.writeable
 
 
-def test_compressed_copy_loads_the_same_model(tmp_path):
+@pytest.mark.parametrize("layout, message", [
+    ("deflated", "not stored uncompressed"),
+    ("fortran-order", "<f8 in Fortran order"),
+    ("bool", "|b1 in C order"),
+    ("int16", "<i2 in C order"),
+    ("float32", "<f4 in C order"),
+], ids=["deflated", "fortran-order", "bool", "int16", "float32"])
+def test_layout_save_checkpoint_does_not_write_exits_3(tmp_path, capsys, monkeypatch, layout, message):
+    # np.savez and np.savez_compressed write each of these; no checkpoint holds them
     _, path = saved_model(tmp_path, CONFIGS[0], table=True)
     with np.load(path) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    compressed = tmp_path / "compressed.npz"
-    np.savez_compressed(compressed, **arrays)
-    with zipfile.ZipFile(compressed) as archive:
-        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
-    expected = load_checkpoint(path).parameters()
-    for name, p in load_checkpoint(compressed).parameters().items():
-        assert_same_array(p.data, expected[name].data)
+    if layout == "fortran-order":
+        arrays["param/head.w"] = np.asfortranarray(arrays["param/head.w"])
+    elif layout != "deflated":
+        arrays["param/head.w"] = arrays["param/head.w"].astype(layout)
+    np.savez(path, **arrays)
+    if layout == "deflated":
+        write_members(path, member_bytes(path), deflated="param/head.w.npy")
+
+    def no_inflating(*args, **kwargs):
+        raise AssertionError("the checkpoint reader inflated a member")
+
+    monkeypatch.setattr(zlib, "decompressobj", no_inflating)
+    code, err = heatmap_exit_code(path, tmp_path, capsys)
+    assert code == 3 and "param/head.w.npy" in err and message in err
 
 
-@pytest.mark.parametrize("damage", ["encrypted-flag", "corrupt-deflate"])
+@pytest.mark.parametrize("damage", ["encrypted-flag"])
 def test_member_zipfile_cannot_read_exits_3(tmp_path, capsys, damage):
-    # zipfile raises RuntimeError and zlib.error for these, not BadZipFile
+    # the reader refuses the flag itself; zipfile would raise RuntimeError, not BadZipFile
     _, path = saved_model(tmp_path, CONFIGS[0], table=True)
-    if damage == "corrupt-deflate":
-        with np.load(path) as archive:
-            np.savez_compressed(path, **{name: archive[name] for name in archive.files})
     blob = bytearray(path.read_bytes())
-    with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo("param/embed.table.npy")
-    if damage == "encrypted-flag":
-        # the central directory follows every member, and its entry's name
-        # starts 46 bytes in, 38 bytes after the flags
-        blob[blob.rindex(b"param/embed.table.npy") - 38] |= 0x01
-    else:
-        name_length, extra_length = struct.unpack_from("<2H", blob, info.header_offset + 26)
-        start = info.header_offset + 30 + name_length + extra_length
-        blob[start + 10 : start + 40] = bytes(b ^ 0xFF for b in blob[start + 10 : start + 40])
+    # the central directory follows every member, and its entry's name
+    # starts 46 bytes in, 38 bytes after the flags
+    blob[blob.rindex(b"param/embed.table.npy") - 38] |= 0x01
     path.write_bytes(bytes(blob))
     code, err = heatmap_exit_code(path, tmp_path, capsys)
     assert code == 3 and "param/embed.table.npy" in err
@@ -208,10 +215,11 @@ def member_bytes(path) -> dict[str, bytes]:
         return {name: archive.read(name) for name in archive.namelist()}
 
 
-def write_members(path, members: dict[str, bytes]) -> None:
+def write_members(path, members: dict[str, bytes], deflated: str | None = None) -> None:
+    """Write ``members`` as a zip, each stored except ``deflated``."""
     with zipfile.ZipFile(path, "w") as archive:
         for name, blob in members.items():
-            archive.writestr(name, blob)
+            archive.writestr(name, blob, zipfile.ZIP_DEFLATED if name == deflated else zipfile.ZIP_STORED)
 
 
 def npy_header(length: int) -> bytes:
@@ -240,7 +248,7 @@ def test_flipped_payload_byte_fails_the_crc(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage, message", [
     ("truncated-payload", "its .npy header declares"),
-    ("header-past-entry", "unreadable .npy header"),
+    ("header-past-entry", "no version 1.0 .npy header within its bytes"),
 ])
 def test_member_shorter_than_its_header_says_exits_3(tmp_path, capsys, damage, message):
     _, path = saved_model(tmp_path, CONFIGS[0], table=True)
@@ -321,4 +329,4 @@ def test_object_member_is_refused_without_unpickling(tmp_path, capsys, monkeypat
     monkeypatch.setattr(pickle, "load", no_unpickling)
     monkeypatch.setattr(pickle, "loads", no_unpickling)
     code, err = heatmap_exit_code(path, tmp_path, capsys)
-    assert code == 3 and "param/head.b.npy" in err and "not booleans or numbers" in err
+    assert code == 3 and "param/head.b.npy" in err and "|O in C order, not <f8 or >f8" in err

@@ -316,6 +316,8 @@ class TestSweepCommand:
     [(["train", "--delta", "1.2"], "delta must lie in [0, 1]"),
      (["ablate", "--settings", "SAM,bogus"], "unknown setting(s) ['bogus']"),
      (["ablate", "--settings", ","], "no ablation setting given"),
+     (["ablate", "--settings", ""], "no ablation setting given"),
+     (["train", "--data", "", "--epochs", "1"], "exactly one of --data or --synthetic"),
      (["sweep-delta", "--grid", "0:0.8:0"], "grid step must be positive"),
      (["sweep-delta", "--grid", "0:0.8:nan"], "grid step must be positive"),
      (["sweep-delta", "--grid", "0.5:0.2:0.1"], "0 <= start <= stop <= 1"),
@@ -327,14 +329,25 @@ class TestSweepCommand:
      (["train", "--seed", "-1"], "seed must be non-negative"),
      (["ablate", "--seed", "-1"], "seed must be non-negative"),
      (["sweep-delta", "--seed", "-1"], "seed must be non-negative")],
-    ids=["delta", "unknown-setting", "no-setting", "zero-step", "nan-step", "reversed-grid",
-         "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay",
+    ids=["delta", "unknown-setting", "no-setting", "empty-settings", "empty-data", "zero-step", "nan-step",
+         "reversed-grid", "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay",
          "negative-seed-train", "negative-seed-ablate", "negative-seed-sweep"],
 )
 def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
     out = tmp_path / "x"
     assert run_cli(*argv, "--synthetic", "trigger:100:30", "--out", str(out)) == 2
     assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [["--max-len", "100000000", "--dim", "4"], ["--dim", "100000000"]],
+                         ids=["max-len", "dim"])
+def test_run_larger_than_memory_exits_2_before_allocating(tmp_path, capsys, sizes):
+    # either size makes a (10**8, 2.5 * 10**7) weight matrix: 17.8 PiB on its own
+    out = tmp_path / "x"
+    assert run_cli("train", "--synthetic", "trigger:20:20", *sizes, "--epochs", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "d_model=" in err and "max_len=" in err and "physical memory" in err
     assert not out.exists()
 
 
@@ -350,6 +363,15 @@ class TestHeatmapCommand:
         assert payload["tokens"] == ["tok7"]
         assert payload["token_weights"] == [1.0]
         ET.fromstring((tmp_path / "heat.svg").read_text())
+
+    def test_empty_text_is_one_unknown_token(self, trained_dir, tmp_path):
+        # an empty --text is given, not absent: it reads as an empty TSV text
+        prefix = tmp_path / "empty"
+        code = run_cli("heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"),
+                       "--text", "", "--out", str(prefix))
+        assert code == 0
+        payload = json.loads((tmp_path / "empty.json").read_text())
+        assert payload["tokens"] == ["<unk>"] and payload["token_weights"] == [1.0]
 
     def test_token_weights_sum_to_one(self, trained_dir, tmp_path):
         prefix = tmp_path / "heat2"

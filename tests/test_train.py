@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from seqattn.data import LabeledCorpus, make_synthetic
 from seqattn.errors import ConfigError, ContractError, NumericError
-from seqattn.model import encode_embeddings, init_model
+from seqattn.model import encode_embeddings, init_model, parameter_shapes
 from seqattn.sam import SamConfig
 from seqattn.tensor import RowGrad, Tensor
 from seqattn import train
@@ -513,6 +514,13 @@ class TestTrainRun:
             model.loss(batch, dropout=0.3)
         model.loss(batch, dropout=0.0)
         model.loss(batch, dropout=0.3, rng=np.random.default_rng(1))
+
+    def test_run_bytes_counts_five_copies_of_each_parameter_and_the_encoded_rows(self):
+        shapes = parameter_shapes(SamConfig(d_model=4, max_len=3, bottleneck_ratio=2), 2, vocab_size=5)
+        # table 5*4; ffn_f 4*2 + 2 + 2*4 + 4; ffn_t 3*1 + 1 + 1*3 + 3; head 4*2 + 2
+        assert sum(math.prod(s) for s in shapes.values()) == 20 + 22 + 10 + 10
+        assert train.run_bytes(shapes, rows=7, row_values=2 * 3) == 8 * (5 * 62 + 7 * 6)
+        assert train.run_bytes({}, rows=0, row_values=9) == 0
 
     def test_precomputed_embeddings_path(self):
         cfg = SamConfig(d_model=8, max_len=8)
