@@ -3,7 +3,7 @@ over padded token-embedding batches, with a training/ablation harness."""
 
 __version__ = "0.1.0"
 
-from .tensor import Mask, Tensor, backward, masked_avgpool, masked_maxpool, masked_softmax, matmul, no_grad, relu, sigmoid
+from .tensor import Mask, Tensor, backward, masked_avgpool, masked_maxpool, masked_softmax, matmul, no_grad, sigmoid
 from .gradcheck import finite_diff_check
 from .sam import (
     FfnParams,
@@ -30,7 +30,6 @@ __all__ = [
     "masked_softmax",
     "matmul",
     "no_grad",
-    "relu",
     "sigmoid",
     "finite_diff_check",
     "FfnParams",

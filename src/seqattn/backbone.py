@@ -13,7 +13,6 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,33 +95,23 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return row, mask_row
 
 
-@dataclass
-class EmbeddingTable:
-    """Trainable (V, D) lookup matrix. Row PAD_ID starts at +0.0 and stays
-    there: :func:`embed` never gives it a gradient, so AdamW and lookahead
-    leave it as it is."""
-
-    weight: Tensor
-
-    @classmethod
-    def init(
-        cls, vocab_size: int, dim: int, rng: np.random.Generator, draw_order: np.ndarray | None = None
-    ) -> "EmbeddingTable":
-        """Uniform Glorot rows; row ``i`` takes row ``draw_order[i]`` of the draw."""
-        bound = np.sqrt(6.0 / (vocab_size + dim))
-        data = rng.uniform(-bound, bound, size=(vocab_size, dim))
-        if draw_order is not None:
-            data = data[draw_order]
-        data[PAD_ID] = 0.0
-        return cls(weight=Tensor(data, requires_grad=True))
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weight.shape[0]
+def init_table(
+    vocab_size: int, dim: int, rng: np.random.Generator, draw_order: np.ndarray | None = None
+) -> Tensor:
+    """Trainable (V, D) lookup matrix of uniform Glorot rows; row ``i``
+    takes row ``draw_order[i]`` of the draw. Row PAD_ID starts at +0.0 and
+    stays there: :func:`embed` never gives it a gradient, so AdamW and
+    lookahead leave it as it is."""
+    bound = np.sqrt(6.0 / (vocab_size + dim))
+    data = rng.uniform(-bound, bound, size=(vocab_size, dim))
+    if draw_order is not None:
+        data = data[draw_order]
+    data[PAD_ID] = 0.0
+    return Tensor(data, requires_grad=True)
 
 
-def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
-    """Gather rows of the table into a (B, L, D) tensor.
+def embed(ids: np.ndarray, table: Tensor) -> Tensor:
+    """Gather rows of the (V, D) table leaf into a (B, L, D) tensor.
 
     The gradient is row-sparse: it covers the gathered rows only, so
     ``backward`` adds into those rows of the table's gradient and the
@@ -131,21 +120,21 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise DataError(f"ids must be a (B, L) integer array, got shape {ids.shape}")
-    oob = (ids < 0) | (ids >= table.vocab_size)
+    vocab_size = len(table.data)
+    oob = (ids < 0) | (ids >= vocab_size)
     if np.any(oob):
         b, l = np.argwhere(oob)[0]
         raise DataError(
             f"token id {ids[b, l]} at position ({b}, {l}) is outside the "
-            f"table of size {table.vocab_size}"
+            f"table of size {vocab_size}"
         )
-    weight = table.weight
-    out = kernels.embedding_fwd(weight.data, ids)
+    out = kernels.embedding_fwd(table.data, ids)
 
     def vjp(g):
         rows, values = kernels.embedding_bwd(g, ids, PAD_ID)
-        return RowGrad(rows, values, weight.shape)
+        return RowGrad(rows, values, table.shape)
 
-    return Tensor._result(out, "embed", (weight, vjp))
+    return Tensor._result(out, "embed", (table, vjp))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line surface: train, ablate, sweep-delta, heatmap.
 
-Exit codes are stable across commands: 0 success, 2 usage/configuration,
-3 data or file-format problems, 4 numeric failure. Every run writes a
-manifest.json capturing the resolved configuration, seed, input
-digests and environment (Python, numpy, BLAS, thread counts); re-running
-the same manifest reproduces all metrics bit-for-bit.
+A command exits 0 on success, 2 on a usage error, and otherwise with the
+``exit_code`` of the package error it raised (see :mod:`seqattn.errors`);
+an OSError exits 3. Every run writes a manifest.json capturing the
+resolved configuration, seed, input digests and environment (Python,
+numpy, BLAS, thread counts); re-running the same manifest reproduces all
+metrics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .backbone import load_precomputed, load_precomputed_record, split_text
 from .data import SYNTHETIC_RULES, LabeledCorpus, make_synthetic, parse_tsv
-from .errors import ConfigError, DataError, FormatError, NumericError, SeqattnError
+from .errors import DataError, FormatError, SeqattnError
 from .head import DEFAULT_POOLING, POOLING_STRATEGIES
 from .model import load_checkpoint, save_checkpoint
 from .sam import Order, SamConfig
@@ -381,23 +383,16 @@ def main(argv=None) -> int:
     parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        # the finite checks catch every overflow; numpy's warnings are noise
-        with np.errstate(all="ignore"):
+        # the finite checks catch every overflow; numpy's warnings are noise.
+        # A library warning prints as one line, as the heatmap's does
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
-    except ConfigError as exc:
+    except (SeqattnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SeqattnError as exc:  # shape/contract problems from flag combinations
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 3)  # an unreadable or unwritable file is a data problem
 
 
 if __name__ == "__main__":

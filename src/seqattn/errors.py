@@ -1,12 +1,14 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto stable exit codes: configuration/usage errors
-exit 2, data and file-format errors exit 3, numeric failures exit 4.
+Each class carries the exit code the CLI returns for it: configuration,
+usage, shape and contract errors exit 2, data and file-format errors
+exit 3, numeric failures exit 4.
 """
 
 
 class SeqattnError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class ShapeError(SeqattnError):
@@ -23,10 +25,12 @@ class ConfigError(SeqattnError):
 
 class DataError(SeqattnError):
     """Input data is malformed at the record level (bad label, bad id)."""
+    exit_code = 3
 
 
 class FormatError(SeqattnError):
     """A file does not conform to its declared format."""
+    exit_code = 3
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -37,3 +41,4 @@ class FormatError(SeqattnError):
 
 class NumericError(SeqattnError):
     """A computation produced NaN/Inf or otherwise diverged."""
+    exit_code = 4

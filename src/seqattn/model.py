@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .backbone import EmbeddingTable, Vocab, embed, tokenize
+from .backbone import Vocab, embed, init_table, tokenize
 from .data import LabeledCorpus
 from .errors import ContractError, FormatError, SeqattnError
 from .head import HeadParams, cross_entropy, init_head, pool_sequence
@@ -107,16 +107,20 @@ def take(batch: Batch, indices: np.ndarray) -> Batch:
 
 @dataclass
 class Model:
+    """The attention stage and its head, plus in table mode the (V, D)
+    embedding leaf (``table``, named ``embed.table`` in :meth:`parameters`)
+    and the vocabulary it is indexed by; both are None in precomputed mode."""
+
     cfg: SamConfig
     sam: SamParams
     head: HeadParams
-    table: EmbeddingTable | None = None
+    table: Tensor | None = None
     vocab: Vocab | None = None
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
         if self.table is not None:
-            params["embed.table"] = self.table.weight
+            params["embed.table"] = self.table
         params.update(self.sam.tensors())
         params.update(self.head.tensors())
         return params
@@ -168,9 +172,7 @@ def init_model(
     vocab: Vocab | None = None,
 ) -> Model:
     """Fresh model; pass a vocab for table mode, none for precomputed mode."""
-    table = None
-    if vocab is not None:
-        table = EmbeddingTable.init(len(vocab), cfg.d_model, rng, vocab.draw_order)
+    table = None if vocab is None else init_table(len(vocab), cfg.d_model, rng, vocab.draw_order)
     return Model(
         cfg=cfg,
         sam=init_sam_params(cfg, rng),
@@ -343,7 +345,7 @@ def load_checkpoint(path) -> Model:
             cfg=cfg,
             sam=SamParams(**ffns),
             head=HeadParams(w=leaves["head.w"], b=leaves["head.b"], pooling=meta["pooling"]),
-            table=None if vocab is None else EmbeddingTable(leaves["embed.table"]),
+            table=leaves.get("embed.table"),
             vocab=vocab,
         )
     except FormatError:  # from the array checks, which name the parameter at fault

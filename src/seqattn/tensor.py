@@ -176,9 +176,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._coerce(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self.data, other.data
@@ -204,15 +201,6 @@ class Tensor:
         src = self.data.shape
         return Tensor._result(
             np.asarray(self.data.sum()), "sum", (self, lambda g: np.broadcast_to(g, src).copy())
-        )
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        src = self.data.shape
-        return Tensor._result(
-            np.asarray(self.data.mean()),
-            "mean",
-            (self, lambda g: np.broadcast_to(g / n, src).copy()),
         )
 
     # -- activations -----------------------------------------------------------
@@ -251,10 +239,6 @@ def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
     for k in range(ad.shape[1]):
         out += ad[:, k, None] * bd[k, None, :]
     return Tensor._result(out, "matmul_ordered", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
 
 
 _SIG_LO = np.nextafter(0.0, 1.0)

@@ -7,9 +7,9 @@ import pytest
 from seqattn.backbone import (
     PAD_ID,
     UNK_ID,
-    EmbeddingTable,
     Vocab,
     embed,
+    init_table,
     load_precomputed,
     store_precomputed,
     tokenize,
@@ -79,46 +79,46 @@ class TestVocabBuild:
         whole = Vocab.build(texts)
         assert ordered.id_to_token != whole.id_to_token
         assert sorted(ordered.id_to_token) == sorted(whole.id_to_token)
-        a = EmbeddingTable.init(len(ordered), 6, np.random.default_rng(3), ordered.draw_order)
-        b = EmbeddingTable.init(len(whole), 6, np.random.default_rng(3))
+        a = init_table(len(ordered), 6, np.random.default_rng(3), ordered.draw_order)
+        b = init_table(len(whole), 6, np.random.default_rng(3))
         for token, i in ordered.token_to_id.items():
-            assert same_bits(a.weight.data[i], b.weight.data[whole.token_to_id[token]]), token
+            assert same_bits(a.data[i], b.data[whole.token_to_id[token]]), token
 
 
 class TestEmbed:
     def test_all_pad_rows_embed_to_zero(self):
-        table = EmbeddingTable.init(6, 3, np.random.default_rng(0))
+        table = init_table(6, 3, np.random.default_rng(0))
         out = embed(np.full((2, 4), PAD_ID), table)
         assert np.all(out.data == 0.0)
 
     def test_gather_equals_table_row(self):
-        table = EmbeddingTable.init(6, 3, np.random.default_rng(0))
+        table = init_table(6, 3, np.random.default_rng(0))
         out = embed(np.array([[4]]), table)
-        assert np.array_equal(out.data[0, 0], table.weight.data[4])
+        assert np.array_equal(out.data[0, 0], table.data[4])
 
     def test_repeated_id_accumulates_gradient(self):
-        table = EmbeddingTable.init(6, 3, np.random.default_rng(0))
+        table = init_table(6, 3, np.random.default_rng(0))
         backward(embed(np.array([[2, 2]]), table).sum())
-        assert np.array_equal(table.weight.grad[2], 2.0 * np.ones(3))
+        assert np.array_equal(table.grad[2], 2.0 * np.ones(3))
 
     def test_pad_row_receives_no_gradient(self):
-        table = EmbeddingTable.init(6, 3, np.random.default_rng(0))
+        table = init_table(6, 3, np.random.default_rng(0))
         backward(embed(np.array([[0, 2, 0]]), table).sum())
-        assert np.all(table.weight.grad[PAD_ID] == 0.0)
+        assert np.all(table.grad[PAD_ID] == 0.0)
 
     def test_linearity_in_table(self):
         rng = np.random.default_rng(1)
-        a = EmbeddingTable.init(5, 4, rng)
-        b = EmbeddingTable.init(5, 4, rng)
-        both = EmbeddingTable.init(5, 4, rng)
-        both.weight.data[...] = a.weight.data + b.weight.data
+        a = init_table(5, 4, rng)
+        b = init_table(5, 4, rng)
+        both = init_table(5, 4, rng)
+        both.data[...] = a.data + b.data
         ids = rng.integers(0, 5, size=(3, 6))
         assert np.array_equal(
             embed(ids, both).data, embed(ids, a).data + embed(ids, b).data
         )
 
     def test_out_of_range_id_reports_position(self):
-        table = EmbeddingTable.init(4, 2, np.random.default_rng(0))
+        table = init_table(4, 2, np.random.default_rng(0))
         with pytest.raises(DataError, match=r"\(1, 2\)"):
             embed(np.array([[0, 1, 2], [3, 1, 9]]), table)
 
@@ -149,7 +149,7 @@ class TestRowSparseGradient:
         return np.random.default_rng(21)
 
     def table(self):
-        return EmbeddingTable.init(self.V, self.D, np.random.default_rng(0))
+        return init_table(self.V, self.D, np.random.default_rng(0))
 
     def ids(self, rng):
         # ids from a few rows repeat within and across sequences, PAD included
@@ -174,18 +174,18 @@ class TestRowSparseGradient:
         backward(self.weighted(ids, table, g))
         expected = np.zeros((self.V, self.D))
         expected += dense_embedding_bwd(g, ids, self.V, PAD_ID)
-        assert same_bits(table.weight.grad, expected)
+        assert same_bits(table.grad, expected)
 
     def test_two_backwards_accumulate(self, rng):
         table = self.table()
-        table.weight.zero_grad()
+        table.zero_grad()
         expected = np.zeros((self.V, self.D))
         for _ in range(2):
             ids = self.ids(rng)
             g = self.upstream(rng, ids.shape + (self.D,))
             backward(self.weighted(ids, table, g))
             expected += dense_embedding_bwd(g, ids, self.V, PAD_ID)
-        assert same_bits(table.weight.grad, expected)
+        assert same_bits(table.grad, expected)
 
     def test_two_embeds_in_one_graph(self, rng):
         table = self.table()
@@ -196,56 +196,56 @@ class TestRowSparseGradient:
         expected = np.zeros((self.V, self.D))
         expected += (dense_embedding_bwd(g_a, ids_a, self.V, PAD_ID)
                      + dense_embedding_bwd(g_b, ids_b, self.V, PAD_ID))
-        assert same_bits(table.weight.grad, expected)
+        assert same_bits(table.grad, expected)
 
     def test_zero_grad_after_scatter_clears_to_positive_zero(self, rng):
         table = self.table()
-        table.weight.zero_grad()
+        table.zero_grad()
         for _ in range(2):
             ids = self.ids(rng)
             backward(self.weighted(ids, table, self.upstream(rng, ids.shape + (self.D,))))
-        assert np.count_nonzero(table.weight.grad) > 0
-        table.weight.zero_grad()
-        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+        assert np.count_nonzero(table.grad) > 0
+        table.zero_grad()
+        assert same_bits(table.grad, np.zeros((self.V, self.D)))
 
     def test_zero_grad_after_dense_accumulation_clears_every_row(self, rng):
         table, ids = self.table(), self.ids(rng)
-        table.weight.zero_grad()  # the leaf now holds a record of written rows
+        table.zero_grad()  # the leaf now holds a record of written rows
         g = self.upstream(rng, ids.shape + (self.D,))
         c = self.upstream(rng, (self.V, self.D))
         # the table is also used densely, so a dense gradient reaches the leaf
-        backward(self.weighted(ids, table, g) + (table.weight * Tensor(c)).sum())
+        backward(self.weighted(ids, table, g) + (table * Tensor(c)).sum())
         expected = np.zeros((self.V, self.D))
         expected += dense_embedding_bwd(g, ids, self.V, PAD_ID) + c
-        assert same_bits(table.weight.grad, expected)
-        table.weight.zero_grad()
-        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+        assert same_bits(table.grad, expected)
+        table.zero_grad()
+        assert same_bits(table.grad, np.zeros((self.V, self.D)))
 
     def test_leaf_without_record_clears_every_row(self):
         table = self.table()
         # a fresh leaf's record is empty; a dense gradient is what drops it
-        table.weight._accumulate(np.full((self.V, self.D), 3.0))
-        assert table.weight._rows is None
-        table.weight.zero_grad()
-        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+        table._accumulate(np.full((self.V, self.D), 3.0))
+        assert table._rows is None
+        table.zero_grad()
+        assert same_bits(table.grad, np.zeros((self.V, self.D)))
 
     def test_fresh_leaf_starts_with_an_empty_record(self, rng):
         table = self.table()
-        assert table.weight._rows == []
+        assert table._rows == []
         # the first clear writes nothing: the buffer is calloc'd +0.0, and
         # writing it would make every page of a large table resident
-        table.weight.grad.flags.writeable = False
-        table.weight.zero_grad()
-        table.weight.grad.flags.writeable = True
-        assert table.weight._rows == []
+        table.grad.flags.writeable = False
+        table.zero_grad()
+        table.grad.flags.writeable = True
+        assert table._rows == []
         ids = self.ids(rng)
         g = self.upstream(rng, ids.shape + (self.D,))
         backward(self.weighted(ids, table, g))
-        assert same_bits(table.weight.grad, dense_embedding_bwd(g, ids, self.V, PAD_ID))
-        assert [rows.tolist() for rows in table.weight._rows] == \
+        assert same_bits(table.grad, dense_embedding_bwd(g, ids, self.V, PAD_ID))
+        assert [rows.tolist() for rows in table._rows] == \
             [sorted(set(ids.reshape(-1).tolist()) - {PAD_ID})]
-        table.weight.zero_grad()
-        assert same_bits(table.weight.grad, np.zeros((self.V, self.D)))
+        table.zero_grad()
+        assert same_bits(table.grad, np.zeros((self.V, self.D)))
 
 
 class TestSamemb1:

@@ -85,9 +85,9 @@ def test_big_endian_parameter_loads_the_same_values(tmp_path):
         arrays = {name: archive[name] for name in archive.files}
     arrays["param/embed.table"] = arrays["param/embed.table"].astype(">f8")
     np.savez(path, **arrays)
-    loaded = load_checkpoint(path).table.weight.data
+    loaded = load_checkpoint(path).table.data
     assert loaded.dtype == np.float64 and loaded.dtype.isnative and loaded.flags.c_contiguous
-    assert loaded.tobytes() == model.table.weight.data.tobytes()
+    assert loaded.tobytes() == model.table.data.tobytes()
 
 
 def test_metadata_bytes_are_pinned(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import platform
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 import seqattn
+from seqattn import cli
 from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
 from seqattn.cli import COMMANDS, _build_configs, build_parser, main
-from seqattn.errors import FormatError
+from seqattn.errors import ConfigError, ContractError, DataError, FormatError, NumericError, ShapeError
 from seqattn.head import DEFAULT_POOLING
 from seqattn.sam import SamConfig
 from seqattn.train import TrainConfig, default_delta_grid
@@ -124,7 +126,7 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(data) in manifest["input_digests"]
 
-    @pytest.mark.parametrize("spec", ["trigger:5", "trigger:100:5", "cooc:-3", "trigger:x"])
+    @pytest.mark.parametrize("spec", ["trigger:5", "trigger:100:5", "cooc:-3", "trigger:x", "bogus"])
     def test_bad_synthetic_spec_is_usage_error(self, tmp_path, spec):
         assert run_cli("train", "--synthetic", spec, "--out", str(tmp_path / "x")) == 2
 
@@ -328,10 +330,14 @@ class TestSweepCommand:
      (["ablate", "--weight-decay", "nan"], "weight decay must be non-negative and finite"),
      (["train", "--seed", "-1"], "seed must be non-negative"),
      (["ablate", "--seed", "-1"], "seed must be non-negative"),
-     (["sweep-delta", "--seed", "-1"], "seed must be non-negative")],
+     (["sweep-delta", "--seed", "-1"], "seed must be non-negative"),
+     (["train", "--emb", "bogus"], "--emb must be 'table' or 'precomputed:PATH'"),
+     (["sweep-delta", "--delta", "0.1"], "--delta is swept; use --grid"),
+     (["sweep-delta", "--grid", "0:1"], "expected start:stop:step")],
     ids=["delta", "unknown-setting", "no-setting", "empty-settings", "empty-data", "zero-step", "nan-step",
          "reversed-grid", "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay",
-         "negative-seed-train", "negative-seed-ablate", "negative-seed-sweep"],
+         "negative-seed-train", "negative-seed-ablate", "negative-seed-sweep", "unknown-emb", "swept-delta",
+         "two-part-grid"],
 )
 def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
     out = tmp_path / "x"
@@ -349,6 +355,48 @@ def test_run_larger_than_memory_exits_2_before_allocating(tmp_path, capsys, size
     err = capsys.readouterr().err
     assert "d_model=" in err and "max_len=" in err and "physical memory" in err
     assert not out.exists()
+
+
+# every flag that takes a size, a count or a seed; --epochs is left out,
+# since a huge value trains for that long
+NUMERIC_FLAGS = ("--dim", "--max-len", "--bottleneck-ratio", "--batch", "--folds", "--lookahead-k", "--seed")
+
+
+@pytest.mark.parametrize("flag, value", itertools.product(NUMERIC_FLAGS, (0, -1, 10**18)))
+def test_numeric_flag_extremes_run_or_are_refused_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    code = run_cli("train", "--synthetic", "trigger:20:20", "--dim", "4", "--max-len", "4",
+                   "--epochs", "1", flag, str(value), "--out", str(out))
+    assert code in (0, 2, 3)
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConfigError, 2), (ShapeError, 2), (ContractError, 2), (DataError, 3), (FormatError, 3),
+     (OSError, 3), (NumericError, 4)],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_an_error_from_a_handler_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "train_run", fail)
+    assert run_cli("train", "--synthetic", "trigger:20:20", "--out", str(tmp_path / "o")) == code
+    assert capsys.readouterr().err == "error: refused\n"
+
+
+def test_library_warning_prints_as_one_line(tmp_path, capsys):
+    data = tmp_path / "t.tsv"
+    data.write_text("".join(f"0\tword{i} filler\n" for i in range(5)) + "1\tlone record\n")
+    code = run_cli("train", "--data", str(data), "--folds", "2", "--epochs", "1", "--dim", "4",
+                   "--max-len", "4", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert capsys.readouterr().err == \
+        "warning: class 1 has fewer than 2 members; distributing best-effort\n"
 
 
 class TestHeatmapCommand:
@@ -423,6 +471,14 @@ class TestHeatmapCommand:
             "--data", str(data), "--index", "5", "--out", str(tmp_path / "x"),
         )
         assert code == 3
+
+    def test_json_suffix_of_out_names_both_files(self, trained_dir, tmp_path):
+        code = run_cli(
+            "heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"),
+            "--text", "tok1 tok2", "--out", str(tmp_path / "m" / "x.json"),
+        )
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["x.json", "x.svg"]
 
     def test_text_and_data_are_exclusive(self, trained_dir, tmp_path):
         code = run_cli(
@@ -544,6 +600,14 @@ class TestHeatmapOnSamemb1:
         assert samemb1_heatmap(checkpoint, data, index, tmp_path / "h") == 3
         assert "of 12 records" in capsys.readouterr().err
 
+    def test_text_is_usage_error(self, samemb1_run, tmp_path, capsys):
+        checkpoint, _ = samemb1_run
+        code = run_cli("heatmap", "--checkpoint", str(checkpoint), "--text", "tok1",
+                       "--out", str(tmp_path / "h"))
+        assert code == 2
+        assert "pass --data SAMEMB1_FILE" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
     def test_width_mismatch_is_format_error(self, samemb1_run, tmp_path, capsys):
         checkpoint, _ = samemb1_run
         narrow = write_vectors(tmp_path / "narrow.semb", n=3, dim=4)
@@ -583,14 +647,16 @@ def test_default_flags_are_the_library_defaults():
     assert default_delta_grid(*grid) == default_delta_grid()
 
 
-def test_overflowing_run_exits_4_without_numpy_warnings(tmp_path):
-    # the finite checks catch the overflow; numpy's warnings about it were noise
-    with warnings.catch_warnings(record=True) as seen:
+def test_overflowing_run_exits_4_without_numpy_warnings(tmp_path, capsys):
+    # the finite checks catch the overflow; numpy's warnings about it were
+    # noise. main prints any warning as a "warning:" line, so none may show
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
         code = run_cli("train", "--synthetic", "trigger:40", "--dim", "4", "--max-len", "4",
                        "--epochs", "2", "--folds", "1", "--lr", "1e300", "--out", str(tmp_path / "o"))
     assert code == 4
-    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_version_flag_exits_cleanly():

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -284,3 +287,13 @@ class TestSamConfig:
     def test_order_accepts_strings(self):
         cfg = SamConfig(d_model=4, max_len=4, order="tam-fam")
         assert cfg.order is Order.TAM_THEN_FAM
+
+
+def test_readme_library_example_runs():
+    # the first block under "Library use", read from the README itself
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n+```python\n(.*?)\n```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    x = namespace["x"]
+    assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad)) and np.any(x.grad != 0.0)

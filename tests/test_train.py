@@ -494,7 +494,8 @@ class TestTrainRun:
     def test_pad_embedding_row_stays_zero_after_training(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
         result = train_run(trigger_corpus, cfg, quick_cfg(max_epochs=4))
-        weight = result.model.table.weight
+        weight = result.model.table
+        assert weight is result.model.parameters()["embed.table"]
         # +0.0 with the sign bit clear: the row never gets a gradient, and
         # nothing re-zeroes it
         for arr in (weight.data[0], weight.grad[0]):
