@@ -3,47 +3,7 @@ over padded token-embedding batches, with a training/ablation harness."""
 
 __version__ = "0.1.0"
 
-from .tensor import Mask, Tensor, backward, masked_avgpool, masked_maxpool, masked_softmax, matmul, no_grad, sigmoid
-from .gradcheck import finite_diff_check
-from .sam import (
-    FfnParams,
-    Order,
-    SamConfig,
-    SamParams,
-    SamTrace,
-    af_fam_apply,
-    fam_map,
-    ffn_forward,
-    init_ffn,
-    init_sam_params,
-    sam_forward,
-    tam_apply,
-    tam_map,
-)
+from .tensor import Mask, Tensor
+from .sam import SamConfig, init_sam_params, sam_forward
 
-__all__ = [
-    "Mask",
-    "Tensor",
-    "backward",
-    "masked_avgpool",
-    "masked_maxpool",
-    "masked_softmax",
-    "matmul",
-    "no_grad",
-    "sigmoid",
-    "finite_diff_check",
-    "FfnParams",
-    "Order",
-    "SamConfig",
-    "SamParams",
-    "SamTrace",
-    "af_fam_apply",
-    "fam_map",
-    "ffn_forward",
-    "init_ffn",
-    "init_sam_params",
-    "sam_forward",
-    "tam_apply",
-    "tam_map",
-    "__version__",
-]
+__all__ = ["Mask", "SamConfig", "Tensor", "init_sam_params", "sam_forward", "__version__"]

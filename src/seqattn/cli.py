@@ -283,6 +283,11 @@ def cmd_heatmap(args, parser) -> int:
     # an empty value is given all the same: an empty text is one <unk>
     if (args.text is None) == (args.data is None):
         parser.error("exactly one of --text or --data is required")
+    # argv bytes that are not UTF-8 arrive as lone surrogates
+    try:
+        (args.text or "").encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"--text is not UTF-8 text: {exc.reason}") from None
     model = load_checkpoint(args.checkpoint)
 
     if model.vocab is not None:

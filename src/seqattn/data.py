@@ -12,6 +12,7 @@ rule can solve.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,10 +137,15 @@ def make_synthetic(
         raise DataError(f"vocab_size must exceed {max(TRIGGER_TOKEN, CO_TOKEN) + 1}")
     if trigger_rule not in SYNTHETIC_RULES:
         raise DataError(f"unknown trigger_rule {trigger_rule!r}")
+    # 8 bytes per background id; a record's text, tuple and slots hold over 100
+    need = 8 * vocab_size + 100 * n
+    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise DataError(f"n={n} and vocab_size={vocab_size} need at least {need / 2**30:.3g} GiB, "
+                        "more than this machine's physical memory")
 
     rng = np.random.default_rng(seed)
     special = {TRIGGER_TOKEN} if trigger_rule == "trigger" else {TRIGGER_TOKEN, CO_TOKEN}
-    background = np.array([t for t in range(vocab_size) if t not in special])
+    background = np.setdiff1d(np.arange(vocab_size), sorted(special))
 
     def sample_tokens(length: int) -> list[int]:
         return list(rng.choice(background, size=length))

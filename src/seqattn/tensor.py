@@ -16,6 +16,8 @@ from . import kernels
 from .errors import ContractError, NumericError, ShapeError
 
 _grad_enabled = True
+_SIG_LO = np.nextafter(0.0, 1.0)
+_SIG_HI = np.nextafter(1.0, 0.0)
 
 
 @contextmanager
@@ -189,7 +191,16 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
+        """Standard 2-D matrix product with gradients for both operands."""
+        return self._product(other, "matmul", np.matmul)
+
+    def _product(self, other: "Tensor", op: str, product) -> "Tensor":
+        """The 2-D matrix product ``product(a, b)`` of this tensor and
+        ``other``, recorded as ``op``, with gradients for both operands."""
+        if self.data.ndim != 2 or other.data.ndim != 2 or self.shape[1] != other.shape[0]:
+            raise ShapeError(f"matmul dimension mismatch: {self.shape} x {other.shape}")
+        ad, bd = self.data, other.data
+        return Tensor._result(product(ad, bd), op, (self, lambda g: g @ bd.T), (other, lambda g: ad.T @ g))
 
     def reshape(self, *shape: int) -> "Tensor":
         src = self.data.shape
@@ -210,18 +221,18 @@ class Tensor:
         return Tensor._result(np.maximum(x, 0.0), "relu", (self, lambda g: g * (x > 0.0)))
 
     def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
+        """Numerically stable logistic, clamped strictly inside (0, 1)."""
+        z = self.data
+        out = np.empty_like(z)
+        pos = z >= 0.0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        np.clip(out, _SIG_LO, _SIG_HI, out=out)
+        return Tensor._result(out, "sigmoid", (self, lambda g: g * out * (1.0 - out)))
 
     def backward(self) -> None:
         backward(self)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D matrix product with gradients for both operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return Tensor._result(ad @ bd, "matmul", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
@@ -232,29 +243,14 @@ def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
     The token-axis network uses this so that growing the padded length
     leaves its outputs at existing positions bit-identical.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
+    return a._product(b, "matmul_ordered", _ordered_product)
+
+
+def _ordered_product(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     out = np.zeros((ad.shape[0], bd.shape[1]))
     for k in range(ad.shape[1]):
         out += ad[:, k, None] * bd[k, None, :]
-    return Tensor._result(out, "matmul_ordered", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
-
-
-_SIG_LO = np.nextafter(0.0, 1.0)
-_SIG_HI = np.nextafter(1.0, 0.0)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic, clamped strictly inside (0, 1)."""
-    z = x.data
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    np.clip(out, _SIG_LO, _SIG_HI, out=out)
-    return Tensor._result(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
+    return out
 
 
 class Mask:

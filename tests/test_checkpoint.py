@@ -197,17 +197,24 @@ def test_layout_save_checkpoint_does_not_write_exits_3(tmp_path, capsys, monkeyp
     assert code == 3 and "param/head.w.npy" in err and message in err
 
 
-@pytest.mark.parametrize("damage", ["encrypted-flag"])
+@pytest.mark.parametrize("damage", ["encrypted-flag", "local-name"])
 def test_member_zipfile_cannot_read_exits_3(tmp_path, capsys, damage):
-    # the reader refuses the flag itself; zipfile would raise RuntimeError, not BadZipFile
     _, path = saved_model(tmp_path, CONFIGS[0], table=True)
     blob = bytearray(path.read_bytes())
-    # the central directory follows every member, and its entry's name
-    # starts 46 bytes in, 38 bytes after the flags
-    blob[blob.rindex(b"param/embed.table.npy") - 38] |= 0x01
+    if damage == "encrypted-flag":
+        # the reader refuses the flag itself; zipfile would raise RuntimeError, not BadZipFile.
+        # The central directory follows every member, and its entry's name
+        # starts 46 bytes in, 38 bytes after the flags
+        blob[blob.rindex(b"param/embed.table.npy") - 38] |= 0x01
+        member, message = "param/embed.table.npy", "encrypted"
+    else:
+        # the first copy of a name is the member's local header; the central directory keeps the old one
+        at = blob.index(b"param/head.b.npy")
+        blob[at:at + 16] = b"param/head.c.npy"
+        member, message = "param/head.b.npy", "is named 'param/head.c.npy' in its local header"
     path.write_bytes(bytes(blob))
     code, err = heatmap_exit_code(path, tmp_path, capsys)
-    assert code == 3 and "param/embed.table.npy" in err
+    assert code == 3 and member in err and message in err
 
 
 def member_bytes(path) -> dict[str, bytes]:

@@ -126,9 +126,14 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(data) in manifest["input_digests"]
 
-    @pytest.mark.parametrize("spec", ["trigger:5", "trigger:100:5", "cooc:-3", "trigger:x", "bogus"])
-    def test_bad_synthetic_spec_is_usage_error(self, tmp_path, spec):
-        assert run_cli("train", "--synthetic", spec, "--out", str(tmp_path / "x")) == 2
+    # the last two would need terabytes: they are refused before anything is built
+    @pytest.mark.parametrize("spec", ["trigger:5", "trigger:100:5", "cooc:-3", "trigger:x", "bogus",
+                                      f"trigger:20:{10**12}", f"trigger:{10**12}"])
+    def test_bad_synthetic_spec_is_usage_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "x"
+        assert run_cli("train", "--synthetic", spec, "--out", str(out)) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
 
     def test_missing_tsv_is_data_error(self, tmp_path):
         code = run_cli("train", "--data", str(tmp_path / "absent.tsv"), "--out", str(tmp_path / "x"))
@@ -333,11 +338,20 @@ class TestSweepCommand:
      (["sweep-delta", "--seed", "-1"], "seed must be non-negative"),
      (["train", "--emb", "bogus"], "--emb must be 'table' or 'precomputed:PATH'"),
      (["sweep-delta", "--delta", "0.1"], "--delta is swept; use --grid"),
-     (["sweep-delta", "--grid", "0:1"], "expected start:stop:step")],
+     (["sweep-delta", "--grid", "0:1"], "expected start:stop:step"),
+     # argparse reads a bare -inf as an option
+     (["train", "--dropout", "nan"], "dropout must lie in [0, 1)"),
+     (["train", "--dropout=-inf"], "dropout must lie in [0, 1)"),
+     (["train", "--dropout", "1"], "dropout must lie in [0, 1)"),
+     (["train", "--lookahead-alpha", "nan"], "alpha in [0, 1]"),
+     (["train", "--lookahead-alpha=-inf"], "alpha in [0, 1]"),
+     (["train", "--lookahead-alpha", "1.5"], "alpha in [0, 1]"),
+     (["train", "--delta", "nan"], "delta must lie in [0, 1]")],
     ids=["delta", "unknown-setting", "no-setting", "empty-settings", "empty-data", "zero-step", "nan-step",
          "reversed-grid", "grid-above-one", "grid-too-fine", "nan-lr", "inf-lr", "nan-weight-decay",
          "negative-seed-train", "negative-seed-ablate", "negative-seed-sweep", "unknown-emb", "swept-delta",
-         "two-part-grid"],
+         "two-part-grid", "nan-dropout", "minus-inf-dropout", "dropout-one", "nan-lookahead-alpha",
+         "minus-inf-lookahead-alpha", "lookahead-alpha-above-one", "nan-delta"],
 )
 def test_rejected_configuration_exits_2_before_writing(tmp_path, capsys, argv, rule):
     out = tmp_path / "x"
@@ -431,6 +445,33 @@ class TestHeatmapCommand:
         payload = json.loads((tmp_path / "heat2.json").read_text())
         assert len(payload["tokens"]) == 4
         assert sum(payload["token_weights"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("disabled, key, count",
+                             [("--no-tam", "token_weights", 3), ("--no-fam", "feature_weights", 4)])
+    def test_disabled_module_weights_read_one(self, tmp_path, disabled, key, count):
+        # a disabled module's map is its identity: the validity flags, or all-ones gates
+        out = tmp_path / "run"
+        code = run_cli("train", "--synthetic", "trigger:100:30", "--dim", "4", "--max-len", "8",
+                       "--epochs", "1", "--folds", "2", disabled, "--out", str(out))
+        assert code == 0
+        code = run_cli("heatmap", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--text", "tok7 tok3 tok4", "--out", str(tmp_path / "h"))
+        assert code == 0
+        payload = json.loads((tmp_path / "h.json").read_text())
+        assert payload[key] == [1.0] * count
+
+    def test_text_that_is_not_utf8_exits_3_before_reading_or_writing(self, trained_dir, tmp_path, capsys,
+                                                                    monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_loading)
+        # argv bytes that are not UTF-8 reach main as lone surrogates: b"\xff" as "\udcff"
+        code = run_cli("heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"),
+                       "--text", "good \udcff movie", "--out", str(tmp_path / "h"))
+        assert code == 3
+        assert capsys.readouterr().err == "error: --text is not UTF-8 text: surrogates not allowed\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_saturated_filter_warns_and_zeroes_features(self, tmp_path, capsys):
         out = tmp_path / "sat"

@@ -28,6 +28,11 @@ class TestParseTsv:
         crlf.write_bytes(b"1\ta b\r\n0\tc d\r\n")
         assert parse_tsv(lf).records == parse_tsv(crlf).records
 
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"0\tgood film\n\n   \n1\tbad film\r\n\t\n")
+        assert parse_tsv(path).records == [("good film", 0), ("bad film", 1)]
+
     def test_sparse_labels_densified_with_mapping(self, tmp_path):
         path = tmp_path / "sparse.tsv"
         path.write_text("2\talpha\n5\tbeta\n2\tgamma\n")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqattn
 from seqattn.errors import ConfigError, ShapeError
 from seqattn.gradcheck import finite_diff_check
 from seqattn.sam import (
@@ -297,3 +298,12 @@ def test_readme_library_example_runs():
     exec(block, namespace)
     x = namespace["x"]
     assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad)) and np.any(x.grad != 0.0)
+
+
+def test_package_root_exports_the_readme_names():
+    # every other name is imported from its own module
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = {name.strip() for line in re.findall(r"^from seqattn import (.+)$", readme, re.M)
+             for name in line.split(",")}
+    assert sorted(seqattn.__all__) == sorted(names | {"__version__"})
+    assert all(getattr(seqattn, name) is not None for name in seqattn.__all__)

@@ -12,7 +12,6 @@ from seqattn.tensor import (
     masked_avgpool,
     masked_maxpool,
     masked_softmax,
-    matmul,
     no_grad,
 )
 
@@ -20,24 +19,24 @@ from seqattn.tensor import (
 class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
-        out = matmul(eye, eye)
+        out = eye @ eye
         assert np.array_equal(out.data, np.eye(2))
 
     def test_hand_product(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[1.0], [1.0]])
-        assert matmul(a, b).data.tolist() == [[3.0], [7.0]]
+        assert (a @ b).data.tolist() == [[3.0], [7.0]]
 
     def test_dimension_error_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((2, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(a, b)
+            a @ b
 
     def test_gradients_flow_to_both_operands(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0], [4.0]], requires_grad=True)
-        backward(matmul(a, b).sum())
+        backward((a @ b).sum())
         assert a.grad.tolist() == [[3.0, 4.0]]
         assert b.grad.tolist() == [[1.0], [2.0]]
 
