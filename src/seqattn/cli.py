@@ -265,9 +265,9 @@ def cmd_sweep_delta(args, parser) -> int:
         writer = csv.writer(fh)
         writer.writerow(["delta", "metric"])
         for pt in points:
-            writer.writerow([f"{pt.delta:.10g}", f"{pt.metric:.6f}"])
+            writer.writerow([f"{pt.delta:.10g}", "diverged" if pt.metric is None else f"{pt.metric:.6f}"])
     chart = line_chart(
-        ("metric", [(pt.delta, pt.metric) for pt in points]),
+        ("metric", [(pt.delta, pt.metric) for pt in points if pt.metric is not None]),
         title="threshold sweep",
         x_label="delta",
         y_label="dev metric",
@@ -275,7 +275,7 @@ def cmd_sweep_delta(args, parser) -> int:
     (out_dir / "sweep.svg").write_text(chart + "\n")
     _write_manifest(out_dir, "sweep-delta", args, digests, ["sweep.csv", "sweep.svg"])
     for pt in points:
-        print(f"delta={pt.delta:.2f}: {pt.metric:.4f}")
+        print(f"delta={pt.delta:.2f}: {'diverged' if pt.metric is None else f'{pt.metric:.4f}'}")
     return 0
 
 

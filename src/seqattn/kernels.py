@@ -6,6 +6,9 @@ gather/scatter, each written as a vectorized numpy expression. Callers
 reach them as ``kernels.<name>`` so that a kernel can be wrapped by
 attribute (for per-kernel timing) without touching its callers.
 
+The four pooling backward kernels share one signature, ``(g, mask, arg,
+shape)``: the view's gradient, the mask, the argmax and the input's shape.
+
 All kernels operate on plain float64 arrays; masks are float64 arrays of
 exact 0.0/1.0 flags with shape (B, L) and at least one valid position
 per row, as :class:`~seqattn.tensor.Mask` checks when it is built.
@@ -24,9 +27,8 @@ def token_maxpool_fwd(x, mask):
     return out, arg
 
 
-def token_maxpool_bwd(g, arg, seq_len):
-    B, D = g.shape
-    gx = np.zeros((B, seq_len, D))
+def token_maxpool_bwd(g, mask, arg, shape):
+    gx = np.zeros(shape)
     np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
     return gx
 
@@ -36,7 +38,7 @@ def token_avgpool_fwd(x, mask):
     return (x * mask[:, :, None]).sum(axis=1) / counts[:, None]
 
 
-def token_avgpool_bwd(g, mask):
+def token_avgpool_bwd(g, mask, arg, shape):
     counts = mask.sum(axis=1)
     return mask[:, :, None] * (g / counts[:, None])[:, None, :]
 
@@ -47,9 +49,8 @@ def feature_maxpool_fwd(x, mask):
     return out, arg
 
 
-def feature_maxpool_bwd(g, mask, arg, dim):
-    B, L = g.shape
-    gx = np.zeros((B, L, dim))
+def feature_maxpool_bwd(g, mask, arg, shape):
+    gx = np.zeros(shape)
     np.put_along_axis(gx, arg[:, :, None], (g * mask)[:, :, None], axis=2)
     return gx
 
@@ -58,8 +59,8 @@ def feature_avgpool_fwd(x, mask):
     return x.mean(axis=2) * mask
 
 
-def feature_avgpool_bwd(g, mask, dim):
-    return np.repeat(((g * mask) / dim)[:, :, None], dim, axis=2)
+def feature_avgpool_bwd(g, mask, arg, shape):
+    return np.repeat(((g * mask) / shape[2])[:, :, None], shape[2], axis=2)
 
 
 def masked_softmax_fwd(z, mask):

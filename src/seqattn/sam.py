@@ -14,12 +14,12 @@ plain configuration changes.
 
 Each module is one graph node. Its map (:func:`fam_map`, :func:`tam_map`)
 runs the per-op forward without recording it and keeps what the per-op
-backward reads; its apply step (:func:`af_fam_apply`, :func:`tam_apply`)
-folds map and product into one node whose vjp is that backward written
-out, adding the input's three gradient terms into one buffer in the order
-the per-op walk adds them. Every gradient keeps the per-op graph's bits.
-A map consumed by anything else is a node of its own with the same
-backward.
+backward reads. Both apply steps (:func:`af_fam_apply`, :func:`tam_apply`)
+build their product through one function, which folds a map of the same
+input (from either module) and the product into one node: its vjp is the
+per-op backward written out, adding the input's three gradient terms into
+one buffer in the walk's order, so every gradient keeps the per-op graph's
+bits. A map consumed by anything else is a node of its own.
 """
 
 from __future__ import annotations
@@ -205,10 +205,10 @@ class _Module:
         self.views = (vmax.data, vmean.data)
         self.layers = [layer[:2] for layer in layers]
 
-    def grads(self, g_map: np.ndarray, needs: list[bool], input_terms) -> list:
+    def grads(self, g_map: np.ndarray, needs: list[bool], adj: np.ndarray | None = None) -> list:
         """The gradients of the flagged operands among (w1, b1, w2, b2, x),
-        given the map's gradient; ``input_terms`` turns the two views'
-        gradients into the input's.
+        given the map's gradient: the input's are the two pooling terms, or
+        with ``adj`` (a product's term, in a buffer of its own) their sum.
 
         This is the per-op graph's backward. A parameter feeds both branches,
         and its gradient is the sum of the two branch terms, which is the
@@ -224,12 +224,12 @@ class _Module:
             if needs[4]:
                 view_grads.append(gpre @ w1.T)
         out = [a + b for (a, b), need in zip(zip(*branches), needs) if need]
-        return out + input_terms(*view_grads) if needs[4] else out
-
-    def dense_input_terms(self, g_max, g_mean) -> list[np.ndarray]:
-        """The two pooling vjps, each a dense gradient of the input."""
-        return [pool_bwd("max", self.axis, g_max, self.md, self.arg, self.x.shape),
-                pool_bwd("avg", self.axis, g_mean, self.md, None, self.x.shape)]
+        if not needs[4]:
+            return out
+        if adj is not None:
+            return out + self.add_input_terms(adj, *view_grads)
+        return out + [pool_bwd(kind, self.axis, g, self.md, self.arg, self.x.shape)
+                      for kind, g in zip(("max", "avg"), view_grads)]
 
     def add_input_terms(self, adj: np.ndarray, g_max, g_mean) -> list[np.ndarray]:
         """``(adj + max term) + mean term``, the walk's two dense sums, in place.
@@ -282,42 +282,38 @@ def _node(cls, data: np.ndarray, op: str, operands: list[Tensor], backward):
 
 class _ModuleMap(Tensor):
     """A module's map as a node of its own, holding the module pass so that
-    the module's apply step can fold map and product into one node."""
+    an apply step can fold map and product into one node."""
 
     __slots__ = ("module",)
 
 
 def _map_node(module: _Module, op: str) -> _ModuleMap:
     p, x = module.p, module.x
-
-    def backward(g, needs):
-        return module.grads(g, needs, module.dense_input_terms)
-
     # the input twice: its max term, then its mean term, as the walk adds them
-    node = _node(_ModuleMap, module.out, op, [p.w1, p.b1, p.w2, p.b2, x, x], backward)
+    node = _node(_ModuleMap, module.out, op, [p.w1, p.b1, p.w2, p.b2, x, x], module.grads)
     if not node.requires_grad:  # no graph records it, so no backward reads these
         module.views = module.layers = module.arg = None
     node.module = module
     return node
 
 
-def _module_node(module: _Module, data: np.ndarray, factor: np.ndarray, map_grad) -> Tensor:
-    """The module as one node: ``data`` is ``factor * x``, and ``map_grad``
-    takes the node's gradient to the map's. The input's gradient starts
-    from the product's term, ``g * factor``, in a buffer of its own."""
-    p, x = module.p, module.x
+def _scaled(x: Tensor, m: Tensor, scale: Tensor, shape: tuple[int, ...], after=None) -> Tensor:
+    """``scale``, made from the map ``m`` and reshaped to ``shape``, times
+    ``x``; ``after`` is the vjp from ``scale`` back to ``m`` (None when
+    ``scale`` is ``m``). When ``m`` is the map of a module pass over this
+    ``x``, the product is that module's one node, whose backward is the
+    map's composed with the product's; else it is built from generic ops.
+    """
+    module = getattr(m, "module", None)
+    if module is None or module.x is not x:
+        return scale.reshape(*shape) * x
+    p, factor = module.p, scale.data.reshape(shape)
 
     def backward(g, needs):
-        return module.grads(map_grad(g), needs,
-                            lambda g_max, g_mean: module.add_input_terms(g * factor, g_max, g_mean))
+        g_map = _unbroadcast(g * x.data, shape).reshape(m.shape)
+        return module.grads(g_map if after is None else after(g_map), needs, g * factor if needs[4] else None)
 
-    return _node(Tensor, data, "mul", [p.w1, p.b1, p.w2, p.b2, x], backward)
-
-
-def _module_of(m: Tensor, x: Tensor, axis: str) -> _Module | None:
-    """The module pass whose map ``m`` is, if it pooled ``x`` over ``axis``."""
-    module = getattr(m, "module", None)
-    return module if module is not None and module.x is x and module.axis == axis else None
+    return _node(Tensor, factor * x.data, "mul", [p.w1, p.b1, p.w2, p.b2, x], backward)
 
 
 def fam_map(x: Tensor, mask: Mask, p: FfnParams, pooled: PooledInput | None = None) -> Tensor:
@@ -341,15 +337,7 @@ def af_fam_apply(x: Tensor, m_f: Tensor, delta: float) -> tuple[Tensor, Tensor]:
     shifted = m_f - delta
     m_filtered = shifted.relu()
     B, D = m_filtered.shape
-    module = _module_of(m_f, x, "token")
-    if module is None:
-        return m_filtered.reshape(B, 1, D) * x, m_filtered
-    gate = m_filtered.data.reshape(B, 1, D)
-
-    def map_grad(g):  # the product's, reshape's, relu's and shift's vjps
-        return _unbroadcast(g * x.data, gate.shape).reshape(B, D) * (shifted.data > 0.0)
-
-    return _module_node(module, gate * x.data, gate, map_grad), m_filtered
+    return _scaled(x, m_f, m_filtered, (B, 1, D), lambda g: g * (shifted.data > 0.0)), m_filtered
 
 
 def tam_map(x_prime: Tensor, mask: Mask, p: FfnParams) -> Tensor:
@@ -365,15 +353,7 @@ def tam_apply(x_prime: Tensor, m_t: Tensor) -> Tensor:
     if m_t.shape != x_prime.shape[:2]:
         raise ShapeError(f"token weights {m_t.shape} do not align with input {x_prime.shape}")
     B, L = m_t.shape
-    module = _module_of(m_t, x_prime, "feature")
-    if module is None:
-        return m_t.reshape(B, L, 1) * x_prime
-    weights = m_t.data.reshape(B, L, 1)
-
-    def map_grad(g):  # the product's and reshape's vjps
-        return _unbroadcast(g * x_prime.data, weights.shape).reshape(B, L)
-
-    return _module_node(module, weights * x_prime.data, weights, map_grad)
+    return _scaled(x_prime, m_t, m_t, (B, L, 1))
 
 
 def _stage_order(cfg: SamConfig) -> list[str]:

@@ -92,6 +92,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_rows", "_edges")
+    __array_ufunc__ = None  # ndarray <op> Tensor defers to the Tensor's reflected operator
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -192,7 +193,10 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         """Standard 2-D matrix product with gradients for both operands."""
-        return self._product(other, "matmul", np.matmul)
+        return self._product(Tensor._coerce(other), "matmul", np.matmul)
+
+    def __rmatmul__(self, other) -> "Tensor":
+        return Tensor._coerce(other) @ self
 
     def _product(self, other: "Tensor", op: str, product) -> "Tensor":
         """The 2-D matrix product ``product(a, b)`` of this tensor and
@@ -318,10 +322,7 @@ def pool_fwd(kind: str, axis: str, x: np.ndarray, md: np.ndarray):
 def pool_bwd(kind: str, axis: str, g: np.ndarray, md: np.ndarray, arg, shape) -> np.ndarray:
     """The dense gradient of the input of :func:`pool_fwd`, of ``shape``,
     given the view's gradient ``g`` and, for a max, the argmax."""
-    L, D = shape[1:]
-    if axis == "token":
-        return kernels.token_maxpool_bwd(g, arg, L) if kind == "max" else kernels.token_avgpool_bwd(g, md)
-    return kernels.feature_maxpool_bwd(g, md, arg, D) if kind == "max" else kernels.feature_avgpool_bwd(g, md, D)
+    return getattr(kernels, f"{axis}_{kind}pool_bwd")(g, md, arg, shape)
 
 
 def masked_maxpool(x: Tensor, mask: Mask, axis: str) -> Tensor:

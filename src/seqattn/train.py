@@ -456,8 +456,8 @@ def ablation_suite(
 @dataclass
 class SweepPoint:
     delta: float
-    metric: float
-    max_gate: float
+    metric: float | None  # None, as is max_gate, where every fold diverged
+    max_gate: float | None
 
 
 MAX_GRID_POINTS = 1001
@@ -483,7 +483,8 @@ def delta_sweep(
     pooling: str = DEFAULT_POOLING,
 ) -> list[SweepPoint]:
     """Train once per threshold value with a shared seed; also record the
-    largest surviving feature-gate entry seen on a probe batch."""
+    largest surviving feature-gate entry seen on a probe batch. A diverged
+    threshold is a point of its own; NumericError means every one diverged."""
     if any(not 0.0 <= d <= 1.0 for d in deltas):
         raise ConfigError("all sweep deltas must lie in [0, 1]")
     if sorted(deltas) != list(deltas):
@@ -491,7 +492,11 @@ def delta_sweep(
     points: list[SweepPoint] = []
     for delta in deltas:
         cfg = replace(base_cfg, delta=float(delta))
-        result = train_run(corpus, cfg, train_cfg, pooling=pooling)
+        try:
+            result = train_run(corpus, cfg, train_cfg, pooling=pooling)
+        except NumericError:
+            points.append(SweepPoint(delta=float(delta), metric=None, max_gate=None))
+            continue
         probe = corpus.subset(range(min(len(corpus), 64)))
         batch = encode(probe, result.model.vocab, cfg)
         with no_grad():
@@ -500,4 +505,6 @@ def delta_sweep(
             SweepPoint(delta=float(delta), metric=result.mean_metric,
                        max_gate=float(trace.fam_map.max()))
         )
+    if deltas and all(pt.metric is None for pt in points):
+        raise NumericError("every fold diverged")
     return points

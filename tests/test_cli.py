@@ -310,6 +310,23 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["0", "0.5", "1"]
 
+    def test_a_diverged_threshold_is_a_point_of_its_own(self, tmp_path, capsys):
+        # at this rate a step overflows unless delta=1 filters every feature out
+        flags = ["--synthetic", "trigger:40:20", "--dim", "4", "--max-len", "6", "--epochs", "3",
+                 "--folds", "2", "--lr", "1e150", "--weight-decay", "0"]
+        out = tmp_path / "sweep"
+        assert run_cli("sweep-delta", *flags, "--grid", "0:1:0.5", "--out", str(out)) == 0
+        assert read_csv(out / "sweep.csv")[1:] == [["0", "diverged"], ["0.5", "diverged"], ["1", "0.666667"]]
+        assert capsys.readouterr().out.splitlines() == [
+            "delta=0.00: diverged", "delta=0.50: diverged", "delta=1.00: 0.6667"]
+        polyline = next(e for e in ET.fromstring((out / "sweep.svg").read_text()).iter()
+                        if e.tag.endswith("polyline"))
+        assert len(polyline.get("points").split()) == 1  # the chart leaves diverged points out
+        # only when every threshold diverges does the command fail, as train does
+        assert run_cli("sweep-delta", *flags, "--grid", "0:0.5:0.5", "--out", str(tmp_path / "x")) == 4
+        assert "every fold diverged" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_non_positive_step_is_usage_error(self, tmp_path):
         code = run_cli(
             "sweep-delta", "--synthetic", "trigger:100:30", "--grid", "0:0.8:0",

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import seqattn
+from seqattn import kernels
 from seqattn.errors import ConfigError, ShapeError
 from seqattn.gradcheck import finite_diff_check
+from seqattn.head import cross_entropy, init_head, pool_sequence
 from seqattn.sam import (
     FfnParams,
     Order,
@@ -22,7 +24,7 @@ from seqattn.sam import (
     tam_apply,
     tam_map,
 )
-from seqattn.tensor import Mask, Tensor
+from seqattn.tensor import Mask, Tensor, backward, masked_avgpool, masked_maxpool, masked_softmax
 
 
 def ffn_from_arrays(w1, b1, w2, b2):
@@ -276,6 +278,64 @@ class TestSamForward:
         bad = Tensor(np.zeros((2, cfg.max_len + 1, cfg.d_model)))
         with pytest.raises(ShapeError):
             sam_forward(bad, mask, cfg, params)
+
+
+def per_op_map(t, mask, p, axis):
+    """A module's map as one graph node per pooling, layer and activation."""
+    logits = ffn_forward(masked_maxpool(t, mask, axis), p) + ffn_forward(masked_avgpool(t, mask, axis), p)
+    return logits.sigmoid() if axis == "token" else masked_softmax(logits, mask)
+
+
+class TestMapAppliedByTheOtherModule:
+    """With D = L each module's step accepts the other's map. Whatever made
+    the map, the result must carry the per-op graph's bits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("axis", ["token", "feature"], ids=["fam_map-tam_apply", "tam_map-af_fam_apply"])
+    def test_output_and_gradients_match_the_per_op_graph(self, axis, seed):
+        L = D = 5
+        rng = np.random.default_rng(seed)
+        p = init_ffn(D, 2, rng)
+        x_data = rng.normal(size=(3, L, D))
+        mask = Mask.from_lengths([5, 3, 1], L)
+        loss_weights = Tensor(rng.normal(size=x_data.shape))
+        module_map = fam_map if axis == "token" else tam_map
+
+        def run(make_map):
+            x = Tensor(x_data, requires_grad=True)
+            for t in p.tensors("p").values():
+                t.zero_grad()
+            m = make_map(x, mask, p)
+            out = tam_apply(x, m) if axis == "token" else af_fam_apply(x, m, 0.15)[0]
+            backward((out * loss_weights).sum())
+            return [out.data, x.grad] + [t.grad.copy() for t in p.tensors("p").values()]
+
+        fused = run(module_map)
+        per_op = run(lambda x, mask, p: per_op_map(x, mask, p, axis))
+        assert [a.tobytes() for a in fused] == [b.tobytes() for b in per_op]
+
+
+POOLING_KERNELS = [f"{axis}_{kind}pool_{pass_}" for axis in ("token", "feature")
+                   for kind in ("max", "avg") for pass_ in ("fwd", "bwd")]
+
+
+def test_every_pooling_kernel_is_looked_up_at_call_time(monkeypatch):
+    # per-kernel timing wraps kernels by attribute; a kernel bound at import
+    # would never see the wrapper
+    calls = dict.fromkeys(POOLING_KERNELS, 0)
+    for name in POOLING_KERNELS:
+        def counted(*args, name=name, kernel=getattr(kernels, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    cfg, params, x, mask = small_setup(seed=2)
+    out, _ = sam_forward(x, mask, cfg, params)
+    head = init_head(cfg.d_model, 3, np.random.default_rng(2))
+    backward(cross_entropy(pool_sequence(out, mask, "mean") @ head.w + head.b, [0, 2]))
+    for axis in ("token", "feature"):
+        backward(masked_maxpool(x, mask, axis).sum() + masked_avgpool(x, mask, axis).sum())
+    assert all(calls.values()), calls
 
 
 class TestSamConfig:

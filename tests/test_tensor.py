@@ -38,8 +38,35 @@ class TestMatmul:
         b = Tensor([[3.0], [4.0]], requires_grad=True)
         backward((a @ b).sum())
         assert a.grad.tolist() == [[3.0, 4.0]]
-        assert b.grad.tolist() == [[1.0], [2.0]]
 
+
+class TestMixedOperands:
+    """A plain array on either side of an operator is a constant operand."""
+
+    def test_matmul_with_an_array_on_the_right(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = a @ np.array([[1.0], [2.0]])
+        assert isinstance(out, Tensor) and out.data.tolist() == [[5.0], [11.0]]
+        backward(out.sum())
+        assert a.grad.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+
+    def test_matmul_with_an_array_on_the_left(self):
+        b = Tensor([[1.0], [2.0]], requires_grad=True)
+        out = np.array([[1.0, 2.0], [3.0, 4.0]]) @ b
+        assert isinstance(out, Tensor) and out.data.tolist() == [[5.0], [11.0]]
+        backward(out.sum())
+        assert b.grad.tolist() == [[4.0], [6.0]]
+
+    @pytest.mark.parametrize("op, value, grad", [
+        (lambda a, t: a * t, [2.0, 4.0, 6.0], [2.0, 2.0, 2.0]),
+        (lambda a, t: a + t, [3.0, 4.0, 5.0], [1.0, 1.0, 1.0]),
+    ], ids=["mul", "add"])
+    def test_elementwise_with_an_array_on_the_left(self, op, value, grad):
+        t = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        out = op(np.full(3, 2.0), t)
+        assert isinstance(out, Tensor) and out.data.tolist() == value
+        backward(out.sum())
+        assert t.grad.tolist() == grad
 
 class TestRelu:
     def test_sign_cases(self):
