@@ -38,6 +38,7 @@ class TestMatmul:
         b = Tensor([[3.0], [4.0]], requires_grad=True)
         backward((a @ b).sum())
         assert a.grad.tolist() == [[3.0, 4.0]]
+        assert b.grad.tolist() == [[1.0], [2.0]]
 
 
 class TestMixedOperands:
@@ -67,6 +68,7 @@ class TestMixedOperands:
         assert isinstance(out, Tensor) and out.data.tolist() == value
         backward(out.sum())
         assert t.grad.tolist() == grad
+
 
 class TestRelu:
     def test_sign_cases(self):
