@@ -1,9 +1,9 @@
 """Optimization and evaluation harness.
 
-AdamW with decoupled weight decay, wrapped in a lookahead outer loop,
-driving stratified k-fold training with per-epoch dev evaluation and
-best-epoch selection. The ablation and delta-sweep drivers are thin loops
-over configuration variants with shared seeds, so rows are comparable.
+AdamW with decoupled weight decay in a lookahead loop drives stratified
+k-fold training with per-epoch dev evaluation and best-epoch selection.
+Training, ablation and delta sweep share one runner, folds and seeds; it
+raises NumericError only when every fold of every configuration diverged.
 """
 
 from __future__ import annotations
@@ -254,9 +254,12 @@ def metric_name_for(num_classes: int) -> str:
 @dataclass
 class FoldOutcome:
     fold: int
-    report: EvalReport | None
+    report: EvalReport | None  # None where the fold diverged
     best_epoch: int
-    diverged: bool = False
+
+    @property
+    def diverged(self) -> bool:
+        return self.report is None
 
 
 @dataclass
@@ -344,36 +347,17 @@ def run_bytes(shapes: dict[str, tuple[int, ...]], rows: int, row_values: int) ->
     return 8 * (5 * sum(math.prod(shape) for shape in shapes.values()) + rows * row_values)
 
 
-def train_run(
-    corpus: LabeledCorpus,
-    sam_cfg: SamConfig,
-    train_cfg: TrainConfig,
-    pooling: str = DEFAULT_POOLING,
-) -> TrainResult:
-    """Train one model per fold and keep the best by dev metric.
-
-    A corpus of texts trains a table over each fold's training vocabulary;
-    a corpus of ``(L_i, D)`` arrays trains the attention stage and head on
-    those fixed vectors. ``folds=1`` trains once against a held-out fifth
-    of the data. Deterministic for a fixed seed; a fold whose loss diverges
-    is reported and skipped, not fatal.
-    """
-    if corpus.num_classes < 2:
-        raise DataError(f"need at least 2 distinct labels, got {corpus.num_classes}")
+def _train_folds(corpus: LabeledCorpus, assignment: np.ndarray, sam_cfg: SamConfig,
+                 train_cfg: TrainConfig, pooling: str) -> TrainResult | None:
+    """One configuration's folds, or None if all diverged; a frame of their own frees them on return."""
     metric = metric_name_for(corpus.num_classes)
-    # folds=1 trains once against a held-out fifth (fold 0 of an internal 5-fold)
-    k = 5 if train_cfg.folds == 1 else train_cfg.folds
-    assignment = kfold_split(corpus, k, train_cfg.seed)
-    fold_ids = [0] if train_cfg.folds == 1 else list(range(train_cfg.folds))
     texts = isinstance(corpus.records[0][0], str)
-
     outcomes: list[FoldOutcome] = []
     history: list[dict] = []
     best_fold_value = -np.inf
     best_model: Model | None = None
     seconds: list[float] = []
-
-    for fold in fold_ids:
+    for fold in range(train_cfg.folds):
         train_idx, dev_idx = train_dev_indices(assignment, fold)
         rng = np.random.default_rng([train_cfg.seed, fold])
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
@@ -392,7 +376,7 @@ def train_run(
                 model, train_batch, dev_batch, train_cfg, fold, rng, metric
             )
         except NumericError:
-            outcomes.append(FoldOutcome(fold=fold, report=None, best_epoch=0, diverged=True))
+            outcomes.append(FoldOutcome(fold=fold, report=None, best_epoch=0))
             continue
         model.load_state_arrays(best_state)
         history.extend(fold_history)
@@ -402,18 +386,46 @@ def train_run(
             best_fold_value = getattr(report, metric)
             best_model = model
 
-    completed = [fo for fo in outcomes if not fo.diverged]
+    if best_model is None:
+        return None
+    mean_metric = float(np.mean([getattr(fo.report, metric) for fo in outcomes if not fo.diverged]))
+    return TrainResult(model=best_model, metric_name=metric, mean_metric=mean_metric, fold_outcomes=outcomes,
+                       history=history, seconds_per_epoch=float(np.mean(seconds)))
+
+
+def _runs(corpus: LabeledCorpus, cfgs: list[SamConfig], train_cfg: TrainConfig, pooling: str):
+    """Yield ``(cfg, result)`` per configuration, all on the same folds and
+    per-fold seeds. The result is None where every fold diverged; once every
+    configuration has, raise NumericError, so callers consume to the end."""
+    if corpus.num_classes < 2:
+        raise DataError(f"need at least 2 distinct labels, got {corpus.num_classes}")
+    # folds=1 trains once against a held-out fifth (fold 0 of an internal 5-fold)
+    assignment = kfold_split(corpus, 5 if train_cfg.folds == 1 else train_cfg.folds, train_cfg.seed)
+    completed = False
+    for cfg in cfgs:
+        result = _train_folds(corpus, assignment, cfg, train_cfg, pooling)
+        completed = completed or result is not None
+        yield cfg, result
     if not completed:
         raise NumericError("every fold diverged")
-    mean_metric = float(np.mean([getattr(fo.report, metric) for fo in completed]))
-    return TrainResult(
-        model=best_model,
-        metric_name=metric,
-        mean_metric=mean_metric,
-        fold_outcomes=outcomes,
-        history=history,
-        seconds_per_epoch=float(np.mean(seconds)),
-    )
+
+
+def train_run(
+    corpus: LabeledCorpus,
+    sam_cfg: SamConfig,
+    train_cfg: TrainConfig,
+    pooling: str = DEFAULT_POOLING,
+) -> TrainResult:
+    """Train one model per fold and keep the best by dev metric.
+
+    A corpus of texts trains a table over each fold's training vocabulary;
+    a corpus of ``(L_i, D)`` arrays trains the attention stage and head on
+    those fixed vectors. ``folds=1`` trains once against a held-out fifth
+    of the data. Deterministic for a fixed seed; a fold whose loss diverges
+    is reported and skipped, and NumericError means every fold diverged.
+    """
+    [(_, result)] = _runs(corpus, [sam_cfg], train_cfg, pooling)
+    return result
 
 
 # Setting name -> config overrides, in emission order.
@@ -443,14 +455,8 @@ def ablation_suite(
         raise ConfigError(f"unknown setting(s) {unknown}; {valid}")
     if not names:
         raise ConfigError(f"no ablation setting given; {valid}")
-    rows: list[tuple[str, TrainResult | None]] = []
-    for name in names:
-        cfg = replace(base_cfg, **ABLATION_SETTINGS[name])
-        try:
-            rows.append((name, train_run(corpus, cfg, train_cfg, pooling=pooling)))
-        except NumericError:
-            rows.append((name, None))
-    return rows
+    cfgs = [replace(base_cfg, **ABLATION_SETTINGS[name]) for name in names]
+    return list(zip(names, [result for _, result in _runs(corpus, cfgs, train_cfg, pooling)]))
 
 
 @dataclass
@@ -485,26 +491,19 @@ def delta_sweep(
     """Train once per threshold value with a shared seed; also record the
     largest surviving feature-gate entry seen on a probe batch. A diverged
     threshold is a point of its own; NumericError means every one diverged."""
+    if not deltas:
+        raise ConfigError("no sweep delta given")
     if any(not 0.0 <= d <= 1.0 for d in deltas):
         raise ConfigError("all sweep deltas must lie in [0, 1]")
     if sorted(deltas) != list(deltas):
         raise ConfigError("sweep deltas must be sorted ascending")
+    probe = corpus.subset(range(min(len(corpus), 64)))
     points: list[SweepPoint] = []
-    for delta in deltas:
-        cfg = replace(base_cfg, delta=float(delta))
-        try:
-            result = train_run(corpus, cfg, train_cfg, pooling=pooling)
-        except NumericError:
-            points.append(SweepPoint(delta=float(delta), metric=None, max_gate=None))
-            continue
-        probe = corpus.subset(range(min(len(corpus), 64)))
-        batch = encode(probe, result.model.vocab, cfg)
-        with no_grad():
-            _, trace = result.model.forward(batch)
-        points.append(
-            SweepPoint(delta=float(delta), metric=result.mean_metric,
-                       max_gate=float(trace.fam_map.max()))
-        )
-    if deltas and all(pt.metric is None for pt in points):
-        raise NumericError("every fold diverged")
+    for cfg, result in _runs(corpus, [replace(base_cfg, delta=float(d)) for d in deltas], train_cfg, pooling):
+        metric = max_gate = None
+        if result is not None:
+            with no_grad():
+                _, trace = result.model.forward(encode(probe, result.model.vocab, cfg))
+            metric, max_gate = result.mean_metric, float(trace.fam_map.max())
+        points.append(SweepPoint(delta=cfg.delta, metric=metric, max_gate=max_gate))
     return points

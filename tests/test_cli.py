@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import seqattn
-from seqattn import cli
+from seqattn import cli, train
 from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
 from seqattn.cli import COMMANDS, _build_configs, build_parser, main
 from seqattn.errors import ConfigError, ContractError, DataError, FormatError, NumericError, ShapeError
@@ -218,12 +218,9 @@ class TestPrecomputedPath:
         store_precomputed(data, seqs)
         code = run_cli(*command, "--emb", f"precomputed:{data}", "--dim", "4", "--max-len", "4",
                        "--epochs", "1", "--folds", "2", "--seed", "0", "--out", str(tmp_path / "x"))
-        if command[0] == "ablate":  # a diverged setting is a row of the table
-            assert code == 0
-            assert read_csv(tmp_path / "x" / "ablation.csv")[1][1] == "diverged"
-        else:
-            assert code == 4
-            assert "every fold diverged" in capsys.readouterr().err
+        assert code == 4
+        assert capsys.readouterr().err == "error: every fold diverged\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "header", [b"[1, 2]", b'{"num_sequences": 2, "dim": -128}'], ids=["list", "negative-dim"]
@@ -264,6 +261,25 @@ class TestAblateCommand:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    def test_a_diverged_setting_is_a_row_of_its_own(self, tmp_path, capsys, monkeypatch):
+        real = train._train_single
+
+        def diverge_without_stage(model, *args):
+            if not (model.cfg.fam_enabled or model.cfg.tam_enabled):
+                raise NumericError("non-finite values produced by 'matmul'")
+            return real(model, *args)
+
+        monkeypatch.setattr(train, "_train_single", diverge_without_stage)
+        out = tmp_path / "ablate"
+        code = run_cli("ablate", "--synthetic", "trigger:100:30", "--dim", "4", "--max-len", "8",
+                       "--epochs", "1", "--folds", "2", "--settings", "baseline,SAM", "--out", str(out))
+        assert code == 0
+        rows = read_csv(out / "ablation.csv")
+        assert rows[1] == ["baseline", "diverged", ""]
+        assert rows[2][0] == "SAM" and float(rows[2][1]) >= 0.0
+        assert capsys.readouterr().out.splitlines() == [
+            "baseline: binary_f1=diverged", f"SAM: binary_f1={float(rows[2][1]):.4f}"]
 
     def test_single_setting_matches_train(self, tmp_path):
         common = (

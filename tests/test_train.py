@@ -592,6 +592,8 @@ class TestDrivers:
             delta_sweep(trigger_corpus, cfg, quick_cfg(), [0.5, 0.0])
         with pytest.raises(ConfigError):
             delta_sweep(trigger_corpus, cfg, quick_cfg(), [0.0, 1.5])
+        with pytest.raises(ConfigError, match="no sweep delta"):
+            delta_sweep(trigger_corpus, cfg, quick_cfg(), [])
 
     def test_sweep_at_zero_matches_full_stage_ablation_row(self, trigger_corpus):
         cfg = SamConfig(d_model=8, max_len=16)
@@ -599,6 +601,88 @@ class TestDrivers:
         points = delta_sweep(trigger_corpus, cfg, train_cfg, [0.0])
         rows = ablation_suite(trigger_corpus, cfg, train_cfg, settings=["SAM"])
         assert points[0].metric == rows[0][1].mean_metric
+
+
+FOLDS = 3
+SETTINGS = ["baseline", "-TAM", "SAM"]
+DELTAS = [0.0, 0.3, 0.6]
+EVERY_FOLD = {(c, f) for c in range(len(SETTINGS)) for f in range(FOLDS)}
+
+
+def configurations(driver, cfg):
+    if driver == "train":
+        return [cfg]
+    if driver == "ablate":
+        return [dataclasses.replace(cfg, **ABLATION_SETTINGS[s]) for s in SETTINGS]
+    return [dataclasses.replace(cfg, delta=d) for d in DELTAS]
+
+
+def drive(driver, corpus, cfg, train_cfg):
+    """One entry per configuration: a TrainResult or None, or for the sweep a SweepPoint."""
+    if driver == "train":
+        return [train_run(corpus, cfg, train_cfg)]
+    if driver == "ablate":
+        return [result for _, result in ablation_suite(corpus, cfg, train_cfg, settings=SETTINGS)]
+    return delta_sweep(corpus, cfg, train_cfg, DELTAS)
+
+
+class TestDivergencePositions:
+    """``_train_single`` raises NumericError at planted (configuration, fold)
+    calls, configurations counted in call order; every other fold must train
+    exactly as in an undisturbed run of its configuration."""
+
+    corpus = make_synthetic(n=90, vocab_size=20, trigger_rule="trigger", seed=1)
+    cfg = SamConfig(d_model=4, max_len=8)
+    train_cfg = TrainConfig(lr=0.05, max_epochs=2, seed=1, folds=FOLDS)
+
+    @pytest.mark.parametrize("driver, planted", [
+        ("train", {(0, 1)}),
+        ("train", {(0, f) for f in range(FOLDS)}),
+        ("ablate", {(0, 0), (0, 1), (0, 2), (1, 1)}),
+        ("ablate", EVERY_FOLD),
+        ("sweep", {(0, 0), (0, 1), (0, 2), (1, 0)}),
+        ("sweep", EVERY_FOLD),
+    ], ids=["train-one", "train-all", "ablate-some", "ablate-all", "sweep-some", "sweep-all"])
+    def test_only_planted_folds_diverge(self, monkeypatch, driver, planted):
+        cfgs = configurations(driver, self.cfg)
+        undisturbed = [train_run(self.corpus, c, self.train_cfg) for c in cfgs]
+        real = train._train_single
+        folds_seen = []
+
+        def train_single(model, train_batch, dev_batch, cfg, fold, rng, metric):
+            folds_seen.append(fold)
+            if (folds_seen.count(0) - 1, fold) in planted:
+                raise NumericError("planted")
+            return real(model, train_batch, dev_batch, cfg, fold, rng, metric)
+
+        monkeypatch.setattr(train, "_train_single", train_single)
+        if all((c, f) in planted for c in range(len(cfgs)) for f in range(FOLDS)):
+            with pytest.raises(NumericError, match="every fold diverged"):
+                drive(driver, self.corpus, self.cfg, self.train_cfg)
+            assert len(folds_seen) == len(cfgs) * FOLDS  # every configuration was tried
+            return
+        results = drive(driver, self.corpus, self.cfg, self.train_cfg)
+        assert len(results) == len(cfgs)
+        strip = lambda h: [{k: v for k, v in r.items() if k != "seconds"} for r in h]
+        for c, (result, ref) in enumerate(zip(results, undisturbed)):
+            kept = [fo for fo in ref.fold_outcomes if (c, fo.fold) not in planted]
+            mean = float(np.mean([getattr(fo.report, ref.metric_name) for fo in kept])) if kept else None
+            if driver == "sweep":
+                assert result.metric == mean
+                assert (result.max_gate is None) == (mean is None)
+                continue
+            if mean is None:
+                assert result is None
+                continue
+            assert result.mean_metric == mean
+            assert [fo.diverged for fo in result.fold_outcomes] == [(c, f) in planted for f in range(FOLDS)]
+            for fo, ref_fo in zip(result.fold_outcomes, ref.fold_outcomes):
+                if fo.diverged:
+                    assert fo.report is None and fo.best_epoch == 0
+                else:
+                    assert fo.best_epoch == ref_fo.best_epoch
+                    assert fo.report.confusion.tolist() == ref_fo.report.confusion.tolist()
+            assert strip(result.history) == [r for r in strip(ref.history) if (c, r["fold"]) not in planted]
 
 
 def test_train_config_validation():
