@@ -215,12 +215,15 @@ def _scan_precomputed(fh) -> tuple[int, list[tuple[int, int, int]]]:
 def _read_record(fh, dim: int, record: tuple[int, int, int]) -> tuple[np.ndarray, int]:
     offset, length, label = record
     fh.seek(offset)
-    values = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
-    return values.astype(np.float64).reshape(length, dim), label
+    values = np.empty((length, dim), dtype="<f4")
+    if fh.readinto(values) != values.nbytes:  # the file shrank after the scan
+        raise FormatError("truncated record payload", offset=offset)
+    return values, label
 
 
 def load_precomputed(path) -> list[tuple[np.ndarray, int]]:
-    """Read a SAMEMB1 file back as (L_i x D float64, label) pairs."""
+    """Read a SAMEMB1 file back as (L_i x D float32, label) pairs, each
+    record in its own writable array, at the width the file stores."""
     with open(path, "rb") as fh:
         dim, records = _scan_precomputed(fh)
         return [_read_record(fh, dim, record) for record in records]

@@ -398,6 +398,12 @@ def main(argv=None) -> int:
     except (SeqattnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)  # an unreadable or unwritable file is a data problem
+    except MemoryError as exc:  # numpy's message names the allocation; a run too large for memory exits 2
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

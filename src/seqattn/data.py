@@ -3,8 +3,8 @@
 The on-disk carrier is a TSV with one record per line, ``label<TAB>text``.
 Labels are integers, densified by value to 0..K-1 in order of first
 appearance; the mapping is kept on the corpus. A record's input is a text,
-or an ``(L_i, D)`` float64 array of precomputed token vectors (a SAMEMB1
-file).
+or an ``(L_i, D)`` float32 or float64 array of precomputed token vectors (a
+SAMEMB1 file loads as float32).
 Synthetic corpora provide a separable sanity task (a single trigger token
 decides the class) and a harder co-occurrence task that no single-token
 rule can solve.

@@ -42,7 +42,7 @@ class Batch:
     mask: np.ndarray  # (B, L) flags
     labels: np.ndarray  # (B,) int64
     ids: np.ndarray | None = None  # (B, L) int64, table mode
-    embs: np.ndarray | None = None  # (B, L, D) float64, precomputed mode
+    embs: np.ndarray | None = None  # (B, L, D) float32 or float64, precomputed mode; forward promotes it
     pooled: PooledInput | None = None  # FAM's views of embs
 
     def __len__(self) -> int:
@@ -63,13 +63,15 @@ def encode_embeddings(seqs: list[tuple[np.ndarray, int]], max_len: int) -> Batch
 
     The vectors are fixed input, so FAM's pooling of them over tokens is
     done here, once, and carried by the batch for a pass where FAM runs
-    first, the default order.
+    first, the default order. The padded vectors take the records' common
+    dtype, float32 at the least, so SAMEMB1 records stay float32; the model
+    promotes each minibatch to float64 as it enters, which is exact.
     """
     if not seqs:
         raise FormatError("cannot batch an empty embedding file")
     dim = seqs[0][0].shape[1]
     n = len(seqs)
-    embs = np.zeros((n, max_len, dim))
+    embs = np.zeros((n, max_len, dim), dtype=np.result_type(np.float32, *{v.dtype for v, _ in seqs}))
     mask = np.zeros((n, max_len))
     labels = np.zeros(n, dtype=np.int64)
     lengths = np.zeros(n, dtype=np.int64)
@@ -84,10 +86,12 @@ def encode_embeddings(seqs: list[tuple[np.ndarray, int]], max_len: int) -> Batch
 def _pool_encoded(embs: np.ndarray, mask: np.ndarray, lengths: np.ndarray) -> PooledInput:
     """The views the token pooling kernels give of encoded vectors (zeros
     after each record's valid prefix), bit for bit and row for row, without
-    the kernels' (N, L, D) temporaries."""
+    the kernels' (N, L, D) temporaries. Both views are float64, as the
+    kernels give them of the promoted vectors."""
     # the kernel's product with the mask leaves encoded vectors as they are
-    mean = embs.sum(axis=1) / mask.sum(axis=1)[:, None]
-    top = np.stack([embs[i, :n].max(axis=0) for i, n in enumerate(lengths)])
+    mean = embs.sum(axis=1, dtype=np.float64) / mask.sum(axis=1)[:, None]
+    # a max is exact at any width, so it is promoted after it is taken
+    top = np.stack([embs[i, :n].max(axis=0) for i, n in enumerate(lengths)], dtype=np.float64)
     # a max of zero or NaN has more than one bit pattern, and the kernel
     # keeps the first valid position's
     for i in np.flatnonzero(np.any((top == 0.0) | np.isnan(top), axis=1)):

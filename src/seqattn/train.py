@@ -339,12 +339,12 @@ def encode(corpus: LabeledCorpus, vocab: Vocab | None, cfg: SamConfig) -> Batch:
     return encode_embeddings(corpus.records, cfg.max_len)
 
 
-def run_bytes(shapes: dict[str, tuple[int, ...]], rows: int, row_values: int) -> int:
+def run_bytes(shapes: dict[str, tuple[int, ...]], rows: int, row_bytes: int) -> int:
     """A lower bound on the bytes a training run holds at once: five float64
     copies of each parameter of ``shapes`` (weights, gradient, AdamW's two
     moments, lookahead's slow copy) and ``rows`` encoded training records
-    of ``row_values`` 8-byte values each."""
-    return 8 * (5 * sum(math.prod(shape) for shape in shapes.values()) + rows * row_values)
+    of ``row_bytes`` bytes each."""
+    return 8 * 5 * sum(math.prod(shape) for shape in shapes.values()) + rows * row_bytes
 
 
 def _train_folds(corpus: LabeledCorpus, assignment: np.ndarray, sam_cfg: SamConfig,
@@ -363,8 +363,9 @@ def _train_folds(corpus: LabeledCorpus, assignment: np.ndarray, sam_cfg: SamConf
         train_set, dev_set = corpus.subset(train_idx), corpus.subset(dev_idx)
         vocab = Vocab.build(train_set.texts(), sam_cfg.max_len) if texts else None
         shapes = parameter_shapes(sam_cfg, corpus.num_classes, None if vocab is None else len(vocab))
-        # a text position encodes as an id and a mask flag, a vector as D values and a flag
-        need = run_bytes(shapes, len(train_idx), sam_cfg.max_len * (2 if texts else sam_cfg.d_model + 1))
+        # a text position encodes as an int64 id and a float64 flag, a vector as
+        # D values of at least 4 bytes each (SAMEMB1's float32) and a flag
+        need = run_bytes(shapes, len(train_idx), sam_cfg.max_len * (16 if texts else 4 * sam_cfg.d_model + 8))
         if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
             raise ConfigError(f"d_model={sam_cfg.d_model} and max_len={sam_cfg.max_len} need at least "
                               f"{need / 2**30:.3g} GiB, more than this machine's physical memory")

@@ -1,8 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqattn.backbone import (
     PAD_ID,
@@ -15,6 +18,7 @@ from seqattn.backbone import (
     tokenize,
 )
 from seqattn.errors import DataError, FormatError
+from seqattn.model import encode_embeddings
 from seqattn.tensor import Tensor, backward
 
 
@@ -338,3 +342,60 @@ class TestSamemb1:
         seqs = [(np.zeros((2, 4), dtype=np.float32), 0), (np.zeros((2, 3), dtype=np.float32), 1)]
         with pytest.raises(DataError):
             store_precomputed(tmp_path / "dim.semb", seqs)
+
+
+# every float32 value, NaN and the infinities included, and signed zeros
+# often enough that whole records of them take the max fallback
+float32s = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(width=32))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    lengths=st.lists(st.integers(0, 7), min_size=1, max_size=5),
+    dim=st.integers(1, 4),
+    max_len=st.integers(1, 5),
+    data=st.data(),
+)
+def test_float32_records_encode_to_the_bits_of_their_float64_values(lengths, dim, max_len, data):
+    """Records are padded at their own width, float32 as SAMEMB1 loads them;
+    promoted, the padded values and both pooled views are the bits that the
+    same values give as float64, records cut at max_len or empty included.
+    One float64 record makes the whole batch float64."""
+    records = []
+    for n in lengths:
+        values = st.sampled_from([0.0, -0.0]) if data.draw(st.booleans()) else float32s
+        drawn = data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))
+        records.append(np.array(drawn, dtype=np.float32).reshape(n, dim))
+    with np.errstate(invalid="ignore"):  # inf - inf in a mean
+        wide = encode_embeddings([(r.astype(np.float64), 0) for r in records], max_len)
+        narrow = encode_embeddings([(r, 0) for r in records], max_len)
+        mixed = encode_embeddings([(r.astype(np.float64) if i == 0 else r, 0) for i, r in enumerate(records)],
+                                  max_len)
+    assert (narrow.embs.dtype, mixed.embs.dtype) == (np.float32, np.float64)
+    assert Tensor(narrow.embs).data.tobytes() == wide.embs.tobytes() == mixed.embs.tobytes()
+    for batch in (narrow, mixed):
+        assert batch.pooled.max.dtype == batch.pooled.mean.dtype == np.float64
+        assert batch.pooled.max.tobytes() == wide.pooled.max.tobytes()
+        assert batch.pooled.mean.tobytes() == wide.pooled.mean.tobytes()
+
+
+def test_loading_and_encoding_a_samemb1_file_holds_no_float64_copy(tmp_path):
+    """Loaded records and their padded batch stay at the file's float32: the
+    peak stays below what the float64 records and batch alone would take."""
+    rng = np.random.default_rng(3)
+    dim, max_len = 32, 64
+    seqs = [(rng.normal(size=(int(rng.integers(1, 2 * max_len)), dim)).astype(np.float32), i % 2)
+            for i in range(200)]
+    path = tmp_path / "long.semb"
+    store_precomputed(path, seqs)
+    stored = sum(v.size for v, _ in seqs)
+    float64_bytes = 8 * (stored + len(seqs) * max_len * dim)
+    tracemalloc.start()
+    try:
+        batch = encode_embeddings(load_precomputed(path), max_len)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about half: the float32 values, and a float64 mask and views besides
+    assert peak < 0.6 * float64_bytes
+    assert batch.embs.dtype == np.float32

@@ -436,6 +436,29 @@ def test_an_error_from_a_handler_exits_with_its_code(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "error: refused\n"
 
 
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def allocate_4_eib(*args, **kwargs):
+    np.empty(2**59)  # 4 EiB of float64: the allocation fails at once and touches no memory
+
+
+@pytest.mark.parametrize(
+    "fail, code, line",
+    [(interrupt, 130, "error: interrupted\n"),
+     (allocate_4_eib, 2, "error: Unable to allocate 4.00 EiB for an array with shape (576460752303423488,)")],
+    ids=["interrupt", "allocation"],
+)
+def test_an_interrupt_or_a_failed_allocation_exits_with_one_line(tmp_path, capsys, monkeypatch, fail, code, line):
+    monkeypatch.setattr(cli, "train_run", fail)
+    out = tmp_path / "o"
+    assert run_cli("train", "--synthetic", "trigger:20:20", "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_library_warning_prints_as_one_line(tmp_path, capsys):
     data = tmp_path / "t.tsv"
     data.write_text("".join(f"0\tword{i} filler\n" for i in range(5)) + "1\tlone record\n")
@@ -665,7 +688,7 @@ class TestHeatmapOnSamemb1:
             assert (tmp_path / f"picked.{ext}").read_bytes() == (tmp_path / f"alone.{ext}").read_bytes()
         vectors, label = load_precomputed_record(data, index)
         expected_vectors, expected_label = load_precomputed(data)[index]
-        assert label == expected_label and vectors.dtype == np.float64
+        assert label == expected_label and vectors.dtype == np.float32
         assert vectors.tobytes() == expected_vectors.tobytes()
 
     @pytest.mark.parametrize("index", [12, -1], ids=["count", "negative"])

@@ -520,8 +520,8 @@ class TestTrainRun:
         shapes = parameter_shapes(SamConfig(d_model=4, max_len=3, bottleneck_ratio=2), 2, vocab_size=5)
         # table 5*4; ffn_f 4*2 + 2 + 2*4 + 4; ffn_t 3*1 + 1 + 1*3 + 3; head 4*2 + 2
         assert sum(math.prod(s) for s in shapes.values()) == 20 + 22 + 10 + 10
-        assert train.run_bytes(shapes, rows=7, row_values=2 * 3) == 8 * (5 * 62 + 7 * 6)
-        assert train.run_bytes({}, rows=0, row_values=9) == 0
+        assert train.run_bytes(shapes, rows=7, row_bytes=16 * 3) == 8 * 5 * 62 + 7 * 16 * 3
+        assert train.run_bytes({}, rows=0, row_bytes=9) == 0
 
     def test_precomputed_embeddings_path(self):
         cfg = SamConfig(d_model=8, max_len=8)
