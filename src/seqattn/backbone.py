@@ -32,19 +32,13 @@ def split_text(text: str) -> list[str]:
 
 
 class Vocab:
-    """Bidirectional token/id map with reserved PAD=0 and UNK=1.
+    """Bidirectional token/id map with reserved PAD=0 and UNK=1."""
 
-    ``draw_order[i]`` is the row of a fresh table's random draw that id
-    ``i`` takes (None: row ``i``), so that renumbering the tokens does not
-    change the vector any token starts from.
-    """
-
-    def __init__(self, tokens: list[str], draw_order: np.ndarray | None = None):
+    def __init__(self, tokens: list[str]):
         self.id_to_token = ["<pad>", "<unk>"] + list(tokens)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate token in vocabulary")
-        self.draw_order = draw_order
 
     @classmethod
     def build(cls, texts, max_len: int | None = None) -> "Vocab":
@@ -55,7 +49,7 @@ class Vocab:
         ids :func:`tokenize` can emit for ``texts``, and so the only table
         rows that training on them gives a gradient. They come first, then
         every other token, each group in first-appearance order over whole
-        texts; ``draw_order`` maps the ids back to that order.
+        texts.
         """
         visible: set[str] = set()
 
@@ -66,11 +60,7 @@ class Vocab:
                 yield from toks
 
         order = list(dict.fromkeys(tokens()))
-        if len(visible) == len(order):
-            return cls(order)
-        seen = np.fromiter(map(visible.__contains__, order), dtype=bool, count=len(order))
-        rows = np.argsort(~seen, kind="stable")  # a stable sort keeps each group's order
-        return cls([order[i] for i in rows.tolist()], np.concatenate(([PAD_ID, UNK_ID], rows + 2)))
+        return cls(sorted(order, key=lambda tok: tok not in visible))  # sorted is stable
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -95,17 +85,12 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return row, mask_row
 
 
-def init_table(
-    vocab_size: int, dim: int, rng: np.random.Generator, draw_order: np.ndarray | None = None
-) -> Tensor:
-    """Trainable (V, D) lookup matrix of uniform Glorot rows; row ``i``
-    takes row ``draw_order[i]`` of the draw. Row PAD_ID starts at +0.0 and
-    stays there: :func:`embed` never gives it a gradient, so AdamW and
-    lookahead leave it as it is."""
+def init_table(vocab_size: int, dim: int, rng: np.random.Generator) -> Tensor:
+    """Trainable (V, D) lookup matrix of uniform Glorot rows, drawn in id
+    order. Row PAD_ID starts at +0.0 and stays there: :func:`embed` never
+    gives it a gradient, so AdamW and lookahead leave it as it is."""
     bound = np.sqrt(6.0 / (vocab_size + dim))
     data = rng.uniform(-bound, bound, size=(vocab_size, dim))
-    if draw_order is not None:
-        data = data[draw_order]
     data[PAD_ID] = 0.0
     return Tensor(data, requires_grad=True)
 

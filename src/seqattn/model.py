@@ -176,7 +176,7 @@ def init_model(
     vocab: Vocab | None = None,
 ) -> Model:
     """Fresh model; pass a vocab for table mode, none for precomputed mode."""
-    table = None if vocab is None else init_table(len(vocab), cfg.d_model, rng, vocab.draw_order)
+    table = None if vocab is None else init_table(len(vocab), cfg.d_model, rng)
     return Model(
         cfg=cfg,
         sam=init_sam_params(cfg, rng),

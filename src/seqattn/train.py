@@ -280,7 +280,9 @@ def _train_single(
     fold: int,
     rng: np.random.Generator,
     metric: str,
-) -> tuple[dict[str, np.ndarray], EvalReport, int, list[dict], float]:
+) -> tuple[EvalReport, int, list[dict], float]:
+    """Train ``model`` for ``cfg.max_epochs`` epochs and leave it holding the
+    parameters of its best epoch by dev ``metric``."""
     params = model.parameters()
     state = init_adam_state(params)
     slow = {name: p.data.copy() for name, p in params.items()}
@@ -323,11 +325,13 @@ def _train_single(
             )
         if value > best_value:
             best_value = value
+            best_state = None  # one copy at a time: free the last before taking the next
             best_state = model.state_arrays()
             best_report = report
             best_epoch = epoch
 
-    return best_state, best_report, best_epoch, history, float(np.mean(epoch_seconds))
+    model.load_state_arrays(best_state)
+    return best_report, best_epoch, history, float(np.mean(epoch_seconds))
 
 
 def encode(corpus: LabeledCorpus, vocab: Vocab | None, cfg: SamConfig) -> Batch:
@@ -373,13 +377,12 @@ def _train_folds(corpus: LabeledCorpus, assignment: np.ndarray, sam_cfg: SamConf
         train_batch = encode(train_set, vocab, sam_cfg)
         dev_batch = encode(dev_set, vocab, sam_cfg)
         try:
-            best_state, report, best_epoch, fold_history, spe = _train_single(
+            report, best_epoch, fold_history, spe = _train_single(
                 model, train_batch, dev_batch, train_cfg, fold, rng, metric
             )
         except NumericError:
             outcomes.append(FoldOutcome(fold=fold, report=None, best_epoch=0))
             continue
-        model.load_state_arrays(best_state)
         history.extend(fold_history)
         outcomes.append(FoldOutcome(fold=fold, report=report, best_epoch=best_epoch))
         seconds.append(spe)
@@ -494,8 +497,6 @@ def delta_sweep(
     threshold is a point of its own; NumericError means every one diverged."""
     if not deltas:
         raise ConfigError("no sweep delta given")
-    if any(not 0.0 <= d <= 1.0 for d in deltas):
-        raise ConfigError("all sweep deltas must lie in [0, 1]")
     if sorted(deltas) != list(deltas):
         raise ConfigError("sweep deltas must be sorted ascending")
     probe = corpus.subset(range(min(len(corpus), 64)))

@@ -18,7 +18,8 @@ from seqattn.backbone import (
     tokenize,
 )
 from seqattn.errors import DataError, FormatError
-from seqattn.model import encode_embeddings
+from seqattn.model import encode_embeddings, init_model
+from seqattn.sam import SamConfig
 from seqattn.tensor import Tensor, backward
 
 
@@ -72,21 +73,20 @@ class TestVocabBuild:
     def test_every_token_visible_keeps_first_appearance_order(self, movie_vocab):
         whole = Vocab.build(self.TEXTS)
         assert whole.id_to_token == ["<pad>", "<unk>", "a", "x", "cut", "b", "off", "y"]
-        assert whole.draw_order is None
         assert Vocab.build(self.TEXTS, max_len=4).id_to_token == whole.id_to_token
         assert Vocab.build(["good movie !"], max_len=3).id_to_token == movie_vocab.id_to_token
 
-    def test_fresh_table_gives_every_token_its_whole_text_order_vector(self):
+    def test_fresh_table_draws_its_rows_in_id_order(self):
         texts = [" ".join(f"t{j}" for j in np.random.default_rng(i).integers(0, 400, size=30))
                  for i in range(40)]
-        ordered = Vocab.build(texts, max_len=5)
-        whole = Vocab.build(texts)
-        assert ordered.id_to_token != whole.id_to_token
-        assert sorted(ordered.id_to_token) == sorted(whole.id_to_token)
-        a = init_table(len(ordered), 6, np.random.default_rng(3), ordered.draw_order)
-        b = init_table(len(whole), 6, np.random.default_rng(3))
-        for token, i in ordered.token_to_id.items():
-            assert same_bits(a.data[i], b.data[whole.token_to_id[token]]), token
+        vocab = Vocab.build(texts, max_len=5)
+        assert vocab.id_to_token != Vocab.build(texts).id_to_token  # some tokens lie past max_len
+        cfg = SamConfig(d_model=6, max_len=5)
+        table = init_model(cfg, 2, "mean", np.random.default_rng(3), vocab=vocab).table.data
+        bound = np.sqrt(6.0 / (len(vocab) + 6))
+        expected = np.random.default_rng(3).uniform(-bound, bound, size=(len(vocab), 6))
+        expected[PAD_ID] = 0.0
+        assert same_bits(table, expected)
 
 
 class TestEmbed:

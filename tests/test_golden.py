@@ -24,7 +24,7 @@ TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4
 PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
 BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
 MAXPOOL_DIGEST = "62cbca36fcf514cbb3e1426e0868acd8205967dec3c34a0c6c867b55ad6fd23c"
-LONG_TEXTS_DIGEST = "32859ba692b22273682f854774ced7f0af82932a06ec8c5a773544f0bec961b9"
+LONG_TEXTS_DIGEST = "c16f6e53125b009d30bf2b8829d18cf6ed375bc7ab99807098523446664e091d"
 # SAMEMB1 cases recorded before the first module's pooling of the fixed input
 # moved to encoding and FAM and TAM became one graph node each
 WIDE_DIGEST = "259f9d0c89913758bde1901d1d51e11c0664c4ba8a74adc700eeb7b037ad6267"
@@ -150,10 +150,10 @@ HEATMAP_DIGESTS = {
               "e599f70096b320b6ba915d008a1ce685e81772b69b5012a17b5461b6e9ad89a8"),
     "precomputed": ("7b8cc44871ad5a78288afdace0fa3026688dccf7937e942fb1d74520d8bf68c8",
                     "16b33c0517b61c7c70adf3dcdc6875b68bd1e77185b56ed3598670b87a7068fe"),
-    # recorded before the table was numbered visible-first: the words that
-    # training saw only past --max-len must keep their vectors
-    "long_texts": ("be9f8f125f0708808a1801dd6227b92eb7de5a6de409c64f8f5b0a2bb92af614",
-                   "6bc68f79fcdf263b0e3287bc4c8b8775f0fe8d2af2eb8fc228d618dc59e63383"),
+    # recorded once a fresh table drew its rows in id order: the words that
+    # training saw only past --max-len still hold the rows drawn for their ids
+    "long_texts": ("04157d3bc1271be155e96ed44b56862958c8a3c400f327b60a2b7e0b35cdf678",
+                   "d49b3d3ef9945984db58297fa870fafaa6f04d23ca6458c4a1967841e0686c3d"),
     # recorded while encoding still pooled a SAMEMB1 input over features
     # for a run whose first module is TAM
     "precomputed_tam_fam": ("8c0028d3d4b71ad8af101707899d8cb06b1e085c2349eb81cc260bea2297086e",

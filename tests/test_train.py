@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from seqattn.data import LabeledCorpus, make_synthetic
 from seqattn.errors import ConfigError, ContractError, NumericError
-from seqattn.model import encode_embeddings, init_model, parameter_shapes
+from seqattn.model import Model, encode_embeddings, init_model, parameter_shapes
 from seqattn.sam import SamConfig
 from seqattn.tensor import RowGrad, Tensor
 from seqattn import train
@@ -522,6 +524,25 @@ class TestTrainRun:
         assert sum(math.prod(s) for s in shapes.values()) == 20 + 22 + 10 + 10
         assert train.run_bytes(shapes, rows=7, row_bytes=16 * 3) == 8 * 5 * 62 + 7 * 16 * 3
         assert train.run_bytes({}, rows=0, row_bytes=9) == 0
+
+    def test_a_fold_holds_one_best_state_copy_at_a_time(self, monkeypatch):
+        # every epoch improves on the last, so every epoch takes a copy
+        real_evaluate, scores = train.evaluate, itertools.count(1)
+        monkeypatch.setattr(train, "evaluate", lambda model, batch: dataclasses.replace(
+            real_evaluate(model, batch), binary_f1=float(next(scores))))
+        real_state_arrays, earlier = Model.state_arrays, []
+
+        def state_arrays(model):
+            assert all(ref() is None for ref in earlier), "an earlier best-state copy is still alive"
+            arrays = real_state_arrays(model)
+            earlier.extend(weakref.ref(a) for a in arrays.values())
+            return arrays
+
+        monkeypatch.setattr(Model, "state_arrays", state_arrays)
+        corpus = make_synthetic(n=90, vocab_size=20, trigger_rule="trigger", seed=1)
+        result = train_run(corpus, SamConfig(d_model=4, max_len=8), quick_cfg(max_epochs=3, folds=2))
+        assert [fo.best_epoch for fo in result.fold_outcomes] == [3, 3]
+        assert len(earlier) == 2 * 3 * len(result.model.parameters())
 
     def test_precomputed_embeddings_path(self):
         cfg = SamConfig(d_model=8, max_len=8)
