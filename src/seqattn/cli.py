@@ -332,8 +332,17 @@ def cmd_heatmap(args, parser) -> int:
     if prefix.suffix == ".json":
         prefix = prefix.with_suffix("")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{prefix}.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
-    Path(f"{prefix}.svg").write_text(token_heatmap(tokens, token_weights, warning) + "\n")
+    texts = {".svg": token_heatmap(tokens, token_weights, warning) + "\n",
+             ".json": json.dumps(payload, sort_keys=True) + "\n"}
+    temps = {ext: Path(f"{prefix}{ext}.{os.getpid()}.tmp") for ext in texts}
+    try:  # renamed into place, the JSON last: no new JSON is left without its SVG
+        for ext, tmp in temps.items():
+            tmp.write_text(texts[ext])
+        for ext, tmp in temps.items():
+            os.replace(tmp, f"{prefix}{ext}")
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {prefix}.json and {prefix}.svg")

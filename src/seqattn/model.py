@@ -194,7 +194,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
         "vocab": None if model.vocab is None else model.vocab.id_to_token[2:],
         "extra": extra or {},
     }
-    arrays = {f"param/{k}": v for k, v in model.state_arrays().items()}
+    arrays = {f"param/{k}": np.ascontiguousarray(p.data) for k, p in model.parameters().items()}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 

@@ -190,7 +190,7 @@ class _Module:
             vmean = pooled.mean if fixed else pool_fwd("avg", axis, x.data, self.md)
             vmean = Tensor._result(vmean, "masked_avgpool")
             _check_ffn_input(vmax, p)
-            # both views through one ordered loop: an output row depends only
+            # both views through one ordered product: an output row depends only
             # on its own input row, so the bits are those of two calls
             B = vmax.shape[0]
             first = matmul_ordered(Tensor(np.concatenate([vmax.data, vmean.data])), p.w1).data

@@ -246,15 +246,20 @@ def matmul_ordered(a: Tensor, b: Tensor) -> Tensor:
     then an exact no-op bit for bit, which BLAS tiling does not guarantee.
     The token-axis network uses this so that growing the padded length
     leaves its outputs at existing positions bit-identical.
+
+    The bits are those of a loop over k, in index order, adding
+    ``a[:, k] * b[k]`` to +0.0. Plain ``np.einsum`` (no ``optimize``, so no
+    BLAS) gives them, except where it takes another reduction path: for an
+    F-order ``b``, made C-order here, and for N = 1, given a zero partner
+    column. tests/test_tensor.py checks it against that loop.
     """
     return a._product(b, "matmul_ordered", _ordered_product)
 
 
 def _ordered_product(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    out = np.zeros((ad.shape[0], bd.shape[1]))
-    for k in range(ad.shape[1]):
-        out += ad[:, k, None] * bd[k, None, :]
-    return out
+    if bd.shape[1] == 1:
+        return np.ascontiguousarray(_ordered_product(ad, np.hstack([bd, np.zeros_like(bd)]))[:, :1])
+    return np.einsum("mk,kn->mn", ad, np.ascontiguousarray(bd))
 
 
 class Mask:

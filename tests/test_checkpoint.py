@@ -14,6 +14,7 @@ import io
 import json
 import pickle
 import struct
+import tracemalloc
 import zipfile
 import zlib
 
@@ -88,6 +89,25 @@ def test_big_endian_parameter_loads_the_same_values(tmp_path):
     loaded = load_checkpoint(path).table.data
     assert loaded.dtype == np.float64 and loaded.dtype.isnative and loaded.flags.c_contiguous
     assert loaded.tobytes() == model.table.data.tobytes()
+
+
+def test_save_writes_the_live_arrays_without_copying_them(tmp_path):
+    # a copy of every parameter would hold the table twice while zip writes it
+    vocab = Vocab([f"w{i}" for i in range(4000)])
+    model = init_model(SamConfig(d_model=48, max_len=12), 3, "max", np.random.default_rng(4), vocab=vocab)
+    model.table.data[...] = np.random.default_rng(1).normal(size=model.table.shape)
+    path = tmp_path / "model.npz"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = model.table.data.nbytes
+    assert peak < 1.5 * table_bytes
+    loaded = load_checkpoint(path).parameters()
+    for name, p in model.parameters().items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
 
 
 def test_metadata_bytes_are_pinned(tmp_path):

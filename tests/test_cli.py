@@ -577,6 +577,30 @@ class TestHeatmapCommand:
         assert code == 0
         assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["x.json", "x.svg"]
 
+    def test_svg_that_cannot_be_written_leaves_no_new_json(self, trained_dir, tmp_path, capsys):
+        (tmp_path / "h.svg").mkdir()
+        argv = ["heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"), "--text", "tok1 tok2"]
+        assert run_cli(*argv, "--out", str(tmp_path / "h")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.svg"]
+        # a JSON from an earlier call keeps its bytes
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "h.svg").mkdir()
+        (tmp_path / "old" / "h.json").write_bytes(b"earlier\n")
+        assert run_cli(*argv, "--out", str(tmp_path / "old" / "h")) == 3
+        assert (tmp_path / "old" / "h.json").read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in (tmp_path / "old").iterdir()) == ["h.json", "h.svg"]
+
+    def test_json_that_cannot_be_written_leaves_no_temporary_file(self, trained_dir, tmp_path, capsys):
+        (tmp_path / "h.json").mkdir()
+        code = run_cli("heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"),
+                       "--text", "tok1 tok2", "--out", str(tmp_path / "h"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json", "h.svg"]
+        assert (tmp_path / "h.json").is_dir() and not any((tmp_path / "h.json").iterdir())
+
     def test_text_and_data_are_exclusive(self, trained_dir, tmp_path):
         code = run_cli(
             "heatmap", "--checkpoint", str(trained_dir / "checkpoint.npz"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqattn.tensor as tensor_module
 from seqattn.errors import ContractError, NumericError, ShapeError
@@ -12,6 +14,7 @@ from seqattn.tensor import (
     masked_avgpool,
     masked_maxpool,
     masked_softmax,
+    matmul_ordered,
     no_grad,
 )
 
@@ -39,6 +42,65 @@ class TestMatmul:
         backward((a @ b).sum())
         assert a.grad.tolist() == [[3.0, 4.0]]
         assert b.grad.tolist() == [[1.0], [2.0]]
+
+
+def index_order_product(a, b):
+    """The bits matmul_ordered stands for: each output starts at +0.0 and
+    adds its K products in index order, each product rounded once."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k, None] * b[k, None, :]
+    return out
+
+
+def laid_out(arr, layout, offset):
+    """``arr``'s values as a C-order array, an F-order copy, the transposed
+    view of a slice of a wider C-order array (so neither order), or a
+    C-contiguous view that starts ``offset`` elements into a larger buffer."""
+    if layout == "F":
+        return np.asfortranarray(arr)
+    if layout == "T":
+        wide = np.full((arr.shape[1], arr.shape[0] + offset), np.nan)
+        wide[:, : arr.shape[0]] = arr.T
+        return wide[:, : arr.shape[0]].T
+    if layout == "offset":
+        buf = np.full(arr.size + offset + 3, np.nan)
+        view = buf[offset:offset + arr.size].reshape(arr.shape)
+        view[...] = arr
+        return view
+    return arr.copy()
+
+
+def signed_values(rng, shape, scale):
+    """Normal values at a scale, about a fifth of them +0.0 or -0.0, and an
+    all-zero row now and then."""
+    arr = rng.standard_normal(shape) * scale
+    zeros = rng.random(shape) < 0.2
+    arr[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    if shape[0] > 1 and rng.random() < 0.3:
+        arr[rng.integers(shape[0])] = 0.0
+    return arr
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 40),
+    k=st.integers(1, 64),
+    n=st.one_of(st.just(1), st.integers(1, 24)),
+    a_layout=st.sampled_from(["C", "F", "T"]),
+    b_layout=st.sampled_from(["C", "F", "offset"]),
+    offset=st.integers(1, 3),
+    exponent=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_ordered_has_the_bits_of_the_index_order_loop(m, k, n, a_layout, b_layout, offset, exponent, seed):
+    # a numpy whose einsum stops matching the loop fails here, before any golden moves
+    rng = np.random.default_rng(seed)
+    a = laid_out(signed_values(rng, (m, k), 10.0**exponent), a_layout, offset)
+    b = laid_out(signed_values(rng, (k, n), 10.0**-exponent), b_layout, offset)
+    out = matmul_ordered(Tensor(a), Tensor(b)).data
+    assert out.dtype == np.float64 and out.shape == (m, n) and out.flags.c_contiguous
+    assert np.array_equal(out.view(np.uint64), index_order_product(a, b).view(np.uint64))
 
 
 class TestMixedOperands:
