@@ -42,14 +42,13 @@ class Vocab:
 
     @classmethod
     def build(cls, texts, max_len: int | None = None) -> "Vocab":
-        """Every token of ``texts``, numbered visible-first.
+        """The tokens :func:`tokenize` can emit for ``texts``: those among
+        the first ``max_len`` tokens of some text (every token when
+        ``max_len`` is None). Training on ``texts`` can then give every
+        table row but PAD's and UNK's a gradient.
 
-        A token is visible if it is among the first ``max_len`` tokens of
-        some text (every token is when ``max_len`` is None). Those are the
-        ids :func:`tokenize` can emit for ``texts``, and so the only table
-        rows that training on them gives a gradient. They come first, then
-        every other token, each group in first-appearance order over whole
-        texts.
+        They are numbered in order of first appearance over whole texts,
+        not within the windows.
         """
         visible: set[str] = set()
 
@@ -59,8 +58,7 @@ class Vocab:
                 visible.update(toks[:max_len])
                 yield from toks
 
-        order = list(dict.fromkeys(tokens()))
-        return cls(sorted(order, key=lambda tok: tok not in visible))  # sorted is stable
+        return cls([tok for tok in dict.fromkeys(tokens()) if tok in visible])
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -13,6 +13,7 @@ rule can solve.
 from __future__ import annotations
 
 import os
+import resource
 import warnings
 from dataclasses import dataclass, field
 
@@ -119,6 +120,14 @@ def train_dev_indices(assignment: np.ndarray, fold: int) -> tuple[np.ndarray, np
     return np.flatnonzero(assignment != fold), np.flatnonzero(assignment == fold)
 
 
+def memory_ceiling() -> int:
+    """The bytes a run may hold at most: the machine's physical memory, or
+    a finite soft address-space limit (``RLIMIT_AS``) below it."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
 def make_synthetic(
     n: int,
     vocab_size: int,
@@ -139,9 +148,9 @@ def make_synthetic(
         raise DataError(f"unknown trigger_rule {trigger_rule!r}")
     # 8 bytes per background id; a record's text, tuple and slots hold over 100
     need = 8 * vocab_size + 100 * n
-    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if need > memory_ceiling():
         raise DataError(f"n={n} and vocab_size={vocab_size} need at least {need / 2**30:.3g} GiB, "
-                        "more than this machine's physical memory")
+                        "more than this process's physical memory or address-space limit")
 
     rng = np.random.default_rng(seed)
     special = {TRIGGER_TOKEN} if trigger_rule == "trigger" else {TRIGGER_TOKEN, CO_TOKEN}

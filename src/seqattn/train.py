@@ -9,14 +9,13 @@ raises NumericError only when every fold of every configuration diverged.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .data import LabeledCorpus, kfold_split, train_dev_indices
+from .data import LabeledCorpus, kfold_split, memory_ceiling, train_dev_indices
 from .backbone import Vocab
 from .errors import ConfigError, DataError, NumericError
 from .head import DEFAULT_POOLING
@@ -73,19 +72,13 @@ class EvalReport:
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    # per parameter of one or more dimensions, how many leading rows have
-    # ever had a gradient: every row from there on holds m = v = g = +0.0
-    seen: dict[str, int]
     t: int = 0
 
 
 def init_adam_state(params: dict[str, Tensor]) -> AdamState:
-    # np.zeros takes zeroed memory from calloc, so the moments of rows that
-    # never get a gradient are never written and their pages never resident
     return AdamState(
         m={name: np.zeros(p.data.shape) for name, p in params.items()},
         v={name: np.zeros(p.data.shape) for name, p in params.items()},
-        seen={name: 0 for name, p in params.items() if p.data.ndim},
     )
 
 
@@ -131,16 +124,9 @@ def adamw_step(
     expression's order, so the result is bit-identical to evaluating it
     over whole arrays.
 
-    A row that has never had a gradient holds m = v = g = +0.0, where that
-    expression reduces exactly to ``w - (lr*wd)*w`` with m and v kept at
-    +0.0. Rows from a parameter's mark ``state.seen[name]`` on get only
-    that decay; the rows before it run the full expression, which gives
-    never-written rows among them the same bits. The mark rises to one past
-    the highest row in the leaf's record of row-sparse writes
-    (``Tensor._rows``), and to the row count after a dense gradient, or
-    when ``grads`` holds an array other than the leaf's own buffer. With a
-    record, the finite check reads only the recorded rows, since every
-    other row of the buffer is +0.0.
+    When ``grads`` holds the leaf's own buffer and the leaf keeps a record
+    of row-sparse writes (``Tensor._rows``), the finite check reads only
+    the recorded rows, since every other row of the buffer is +0.0.
     """
     state.t += 1
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.eps, cfg.lr
@@ -176,20 +162,7 @@ def adamw_step(
             finite = all(np.isfinite(grad[rows]).all() for rows in written)
         if not finite:
             raise NumericError(f"non-finite gradient for parameter '{name}'")
-        arrays = (p.data, grad, state.m[name], state.v[name])
-        seen = state.seen.get(name)  # None for a 0-d parameter
-        if seen is not None:
-            if written is None:
-                seen = len(p.data)
-            else:
-                seen = max([seen, *(int(rows.max()) + 1 for rows in written if len(rows))])
-            state.seen[name] = seen
-            if seen < len(p.data):
-                for w, t in _row_blocks((p.data[seen:],), scratch=1):
-                    np.multiply(decay, w, out=t)
-                    np.subtract(w, t, out=w)
-                arrays = tuple(a[:seen] for a in arrays)
-        for block in _row_blocks(arrays, scratch=2):
+        for block in _row_blocks((p.data, grad, state.m[name], state.v[name]), scratch=2):
             update(*block)
 
 
@@ -370,9 +343,10 @@ def _train_folds(corpus: LabeledCorpus, assignment: np.ndarray, sam_cfg: SamConf
         # a text position encodes as an int64 id and a float64 flag, a vector as
         # D values of at least 4 bytes each (SAMEMB1's float32) and a flag
         need = run_bytes(shapes, len(train_idx), sam_cfg.max_len * (16 if texts else 4 * sam_cfg.d_model + 8))
-        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        if need > memory_ceiling():
             raise ConfigError(f"d_model={sam_cfg.d_model} and max_len={sam_cfg.max_len} need at least "
-                              f"{need / 2**30:.3g} GiB, more than this machine's physical memory")
+                              f"{need / 2**30:.3g} GiB, more than this process's physical memory "
+                              "or address-space limit")
         model = init_model(sam_cfg, corpus.num_classes, pooling, rng, vocab=vocab)
         train_batch = encode(train_set, vocab, sam_cfg)
         dev_batch = encode(dev_set, vocab, sam_cfg)

@@ -14,6 +14,7 @@ from seqattn.backbone import (
     embed,
     init_table,
     load_precomputed,
+    split_text,
     store_precomputed,
     tokenize,
 )
@@ -62,13 +63,27 @@ class TestVocabBuild:
 
     def test_visible_tokens_first_each_group_in_first_appearance_order(self):
         vocab = Vocab.build(self.TEXTS, max_len=2)
-        assert vocab.id_to_token == ["<pad>", "<unk>", "a", "x", "b", "cut", "off", "y"]
+        assert vocab.id_to_token == ["<pad>", "<unk>", "a", "x", "b"]
 
-    def test_ids_the_texts_can_emit_are_one_leading_block(self):
-        vocab = Vocab.build(self.TEXTS, max_len=2)
-        emitted = {int(i) for text in self.TEXTS for i in tokenize(text, vocab, 2)[0]}
-        visible = {vocab.encode(t) for text in self.TEXTS for t in text.split()[:2]}
-        assert emitted - {PAD_ID} == visible == set(range(2, 5))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(["a", "B", "c", "d,", "e", "f", "g!", "h"]),
+                                min_size=1, max_size=12).map(" ".join), min_size=1, max_size=6),
+        max_len=st.integers(1, 12),
+    )
+    def test_ids_the_texts_can_emit_are_one_leading_block(self, texts, max_len):
+        vocab = Vocab.build(texts, max_len)
+        emitted = {int(i) for text in texts for i in tokenize(text, vocab, max_len)[0]}
+        assert emitted - {PAD_ID} == set(range(2, len(vocab)))
+        # ordered by each token's first (text, position) anywhere in the texts
+        first: dict[str, tuple[int, int]] = {}
+        for t, text in enumerate(texts):
+            for position, tok in enumerate(split_text(text)):
+                first.setdefault(tok, (t, position))
+        visible = {tok for text in texts for tok in split_text(text)[:max_len]}
+        assert vocab.id_to_token[2:] == sorted(visible, key=first.__getitem__)
+        longest = max(len(split_text(text)) for text in texts)
+        assert Vocab.build(texts, longest + max_len).id_to_token == Vocab.build(texts).id_to_token
 
     def test_every_token_visible_keeps_first_appearance_order(self, movie_vocab):
         whole = Vocab.build(self.TEXTS)

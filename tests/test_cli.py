@@ -17,10 +17,11 @@ import pytest
 
 import seqattn
 from seqattn import cli, train
-from seqattn.backbone import load_precomputed, load_precomputed_record, store_precomputed
+from seqattn.backbone import UNK_ID, Vocab, load_precomputed, load_precomputed_record, store_precomputed
 from seqattn.cli import COMMANDS, _build_configs, build_parser, main
 from seqattn.errors import ConfigError, ContractError, DataError, FormatError, NumericError, ShapeError
 from seqattn.head import DEFAULT_POOLING
+from seqattn.model import init_model, save_checkpoint
 from seqattn.sam import SamConfig
 from seqattn.train import TrainConfig, default_delta_grid
 
@@ -404,6 +405,25 @@ def test_run_larger_than_memory_exits_2_before_allocating(tmp_path, capsys, size
     assert not out.exists()
 
 
+def test_run_beyond_the_address_space_limit_exits_2_before_allocating(tmp_path):
+    # a table of about 100k rows of width 300 needs over 1 GiB: far below this
+    # machine's memory, far above the 700 MiB limit set in the child alone
+    paths = [str(Path(seqattn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "OPENBLAS_NUM_THREADS": "1"}
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (700 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+             "from seqattn.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "x"
+    run = subprocess.run([sys.executable, "-c", child, "train", "--synthetic", "trigger:20000:300000",
+                          "--dim", "300", "--max-len", "16", "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: d_model=300 and max_len=16 need at least ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 # every flag that takes a size, a count or a seed; --epochs is left out,
 # since a huge value trains for that long
 NUMERIC_FLAGS = ("--dim", "--max-len", "--bottleneck-ratio", "--batch", "--folds", "--lookahead-k", "--seed")
@@ -547,6 +567,25 @@ class TestHeatmapCommand:
         payload = json.loads((tmp_path / "satheat.json").read_text())
         assert all(w == 0.0 for w in payload["feature_weights"])
         assert "no signal" in (tmp_path / "satheat.svg").read_text()
+
+    def test_checkpoint_holding_words_seen_only_past_max_len_keeps_their_rows(self, tmp_path):
+        # a table built from whole texts, as older checkpoints hold, has rows
+        # for words the training texts had only past --max-len
+        texts = ["good movie tail", "movie good fine"]
+        assert Vocab.build(texts, max_len=2).encode("tail") == UNK_ID
+        model = init_model(SamConfig(d_model=6, max_len=2), 2, "mean", np.random.default_rng(5),
+                           vocab=Vocab.build(texts))
+        checkpoint = tmp_path / "old.npz"
+        save_checkpoint(checkpoint, model)
+        weights = {}
+        for word in ("tail", "unseen", "other"):
+            assert run_cli("heatmap", "--checkpoint", str(checkpoint), "--text", f"{word} good",
+                           "--out", str(tmp_path / word)) == 0
+            payload = json.loads((tmp_path / f"{word}.json").read_text())
+            assert payload.pop("tokens") == [word, "good"]
+            weights[word] = payload
+        assert weights["unseen"] == weights["other"]  # both read as <unk>
+        assert weights["tail"] != weights["unseen"]
 
     def test_record_picked_from_corpus_file(self, trained_dir, tmp_path):
         data = tmp_path / "pick.tsv"

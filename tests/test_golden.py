@@ -24,7 +24,8 @@ TABLE_DIGEST = "7663376d8264353772571a0eb7bcaff1024a637082c8ff491e0e0000c65a47d4
 PRECOMPUTED_DIGEST = "835c8180dbfaa1450ebe5ab7e2f4a830c76fee8488b9d8d76657e6da9260a5cd"
 BIG_TABLE_DIGEST = "8ae4a5c9f717195a89b5a40ee9c3698c4a58760caffbda128000fd4987f72bfd"
 MAXPOOL_DIGEST = "62cbca36fcf514cbb3e1426e0868acd8205967dec3c34a0c6c867b55ad6fd23c"
-LONG_TEXTS_DIGEST = "c16f6e53125b009d30bf2b8829d18cf6ed375bc7ab99807098523446664e091d"
+# recorded once the table held only the words among the first --max-len of some text
+LONG_TEXTS_DIGEST = "a4c75815840f922392d86d583e84feef180d1891dd9884fe06dc6ddbcd1822c2"
 # SAMEMB1 cases recorded before the first module's pooling of the fixed input
 # moved to encoding and FAM and TAM became one graph node each
 WIDE_DIGEST = "259f9d0c89913758bde1901d1d51e11c0664c4ba8a74adc700eeb7b037ad6267"
@@ -95,9 +96,8 @@ def train_maxpool(tmp_path) -> list[str]:
 
 
 def train_long_texts(tmp_path) -> list[str]:
-    # about 1500 table rows of width 32 per fold (three optimizer blocks), of
-    # which only the first 6 words of each text reach the model: most rows
-    # never get a gradient
+    # texts of 20 to 30 words of which only the first 6 reach the model, so
+    # the table holds only those words: about 330 rows of width 32 per fold
     data = tmp_path / "long.tsv"
     write_long_texts(data)
     return ["--data", str(data), "--dim", "32", "--max-len", "6"]
@@ -150,10 +150,10 @@ HEATMAP_DIGESTS = {
               "e599f70096b320b6ba915d008a1ce685e81772b69b5012a17b5461b6e9ad89a8"),
     "precomputed": ("7b8cc44871ad5a78288afdace0fa3026688dccf7937e942fb1d74520d8bf68c8",
                     "16b33c0517b61c7c70adf3dcdc6875b68bd1e77185b56ed3598670b87a7068fe"),
-    # recorded once a fresh table drew its rows in id order: the words that
-    # training saw only past --max-len still hold the rows drawn for their ids
-    "long_texts": ("04157d3bc1271be155e96ed44b56862958c8a3c400f327b60a2b7e0b35cdf678",
-                   "d49b3d3ef9945984db58297fa870fafaa6f04d23ca6458c4a1967841e0686c3d"),
+    # recorded once the table held only the words among the first --max-len
+    # of some text: the words training saw only past it read as <unk>
+    "long_texts": ("1c1f0c54fbcbaa205ef8d37f6d3075790e2c849cce6e4d2b0edde009bf5f16a4",
+                   "2bba8f5f3f72c5f6c07a70ff4a373fc9fa6e8537cee58b40a0ef0d0478d50f51"),
     # recorded while encoding still pooled a SAMEMB1 input over features
     # for a run whose first module is TAM
     "precomputed_tam_fam": ("8c0028d3d4b71ad8af101707899d8cb06b1e085c2349eb81cc260bea2297086e",
@@ -172,7 +172,7 @@ def heatmap_precomputed(tmp_path) -> tuple[list[str], list[str]]:
 
 def heatmap_long_texts(tmp_path) -> tuple[list[str], list[str]]:
     # w43894, w44610, w166 and w68247 occur in the training texts only past
-    # the sixth word, so their table rows never get a gradient
+    # the sixth word, so the table holds no row for them and they read as <unk>
     return train_long_texts(tmp_path), ["--text", "w43894 kw w44610 w166 unseen w68247"]
 
 
